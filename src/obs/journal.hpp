@@ -21,8 +21,24 @@
 //     eight threads split the work. The merged view is byte-identical at
 //     any worker count; only the (unexported) eviction counter varies.
 //
+// Memory stays bounded whatever the thread churn (the serving layer starts
+// fresh workers on every serve() call and every adaptation epoch):
+//   * A thread's shard is marked orphaned when the thread exits. The next
+//     thread to register (or the next compaction) moves every orphaned
+//     shard's records into one retired pool and frees the shard, so the
+//     shard list holds the live appending threads plus those that exited
+//     since the last registration.
+//   * When the records resident across shards and the retired pool exceed
+//     kCompactFactor * capacity, the appending thread compacts them to the
+//     top `capacity` keys. A key below that cut already has `capacity`
+//     larger keys appended, so it can never be exported — the same argument
+//     as ring eviction, and it holds for any shard layout. Hence
+//     resident() <= kCompactFactor * capacity() whenever no append is in
+//     flight.
+//
 // Appends are cheap: one thread-local shard lookup, one mutex acquire on an
-// uncontended per-thread lock, one string move into the ring. A disabled
+// uncontended per-thread lock, one string move into the ring, one relaxed
+// counter update. Compaction runs once per ~capacity appends. A disabled
 // journal costs a single relaxed atomic load.
 #pragma once
 
@@ -33,6 +49,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace powerlens::obs {
@@ -43,6 +60,10 @@ inline constexpr std::size_t kDefaultJournalCapacity = 16384;
 
 class Journal {
  public:
+  // Resident records (shards plus retired pool) that trigger compaction
+  // down to `capacity`, as a multiple of `capacity`.
+  static constexpr std::size_t kCompactFactor = 2;
+
   explicit Journal(std::size_t capacity = kDefaultJournalCapacity);
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
@@ -78,8 +99,13 @@ class Journal {
   std::uint64_t evicted() const noexcept {
     return evicted_.load(std::memory_order_relaxed);
   }
-  // Records currently resident across all shards (pre-merge-trim).
+  // Records currently resident across all shards and the retired pool
+  // (pre-merge-trim); at most kCompactFactor * capacity() whenever no
+  // append is in flight.
   std::size_t resident() const;
+  // Shards currently allocated (live appending threads plus threads that
+  // exited since the last registration or compaction) — diagnostics.
+  std::size_t shards() const;
 
   // Merged deterministic export: min(appended(), capacity()) records in
   // ascending (run, task, seq) order, one JSON object per line, followed by
@@ -97,15 +123,25 @@ class Journal {
     std::uint64_t task = 0;
     std::uint32_t seq = 0;
     std::string line;
+    using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint32_t>;
+    Key key() const { return {run, task, seq}; }
   };
   // One appending thread's bounded ring. `mu` is uncontended in steady
-  // state (only export/clear cross-lock) but keeps export TSan-clean.
+  // state (only export/clear/compaction cross-lock) but keeps export
+  // TSan-clean. `orphaned` is set when the appending thread exits.
   struct Shard {
     mutable std::mutex mu;
     std::vector<Record> ring;
     std::size_t next = 0;  // overwrite cursor once the ring is full
+    std::atomic<bool> orphaned{false};
   };
   Shard& local_shard();
+  // Moves every orphaned shard's records into retired_ and frees those
+  // shards. Caller holds shards_mu_.
+  void reclaim_orphans_locked();
+  // Trims the resident records to the top `capacity_` keys once they exceed
+  // kCompactFactor * capacity_.
+  void compact();
 
   const std::size_t capacity_;
   const std::uint64_t id_;  // process-unique key for the thread-local cache
@@ -113,8 +149,15 @@ class Journal {
   std::atomic<std::uint64_t> next_run_{0};
   std::atomic<std::uint64_t> appended_{0};
   std::atomic<std::uint64_t> evicted_{0};
-  mutable std::mutex shards_mu_;  // guards the shard list itself
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // Records in shard rings plus retired_, updated under the lock that
+  // guards the records counted (a shard's mu, or shards_mu_ for retired_).
+  std::atomic<std::size_t> resident_{0};
+  mutable std::mutex shards_mu_;  // guards the shard list and retired_
+  // Shared with the owning thread's cache, whose exit hook marks the shard
+  // orphaned through a weak reference (a no-op once the journal is gone).
+  std::vector<std::shared_ptr<Shard>> shards_;
+  // Records of exited threads, in no particular order; export sorts.
+  std::vector<Record> retired_;
 };
 
 // The process-wide journal the serving layer appends to by default.

@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -39,13 +40,17 @@ void append_json_number(std::string& out, double v) {
   if (!std::isfinite(v)) v = 0.0;
   char buf[32];
   // Integers up to 2^53 print exactly and without an exponent or trailing
-  // fraction; everything else keeps round-trip precision.
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-  }
-  out += buf;
+  // fraction; everything else keeps round-trip precision. The precision
+  // overloads of to_chars are specified as printf("%.0f") / printf("%.12g")
+  // in the C locale, so the bytes match the former snprintf form without
+  // its cost or its LC_NUMERIC dependence.
+  const std::to_chars_result r =
+      v == std::floor(v) && std::fabs(v) < 9.007199254740992e15
+          ? std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed,
+                          0)
+          : std::to_chars(buf, buf + sizeof buf, v,
+                          std::chars_format::general, 12);
+  out.append(buf, r.ptr);
 }
 
 void append_json_number_or_null(std::string& out, double v) {
@@ -59,6 +64,16 @@ void append_json_number_or_null(std::string& out, double v) {
 std::string json_number(double v) {
   std::string out;
   append_json_number(out, v);
+  return out;
+}
+
+std::string hex_u64(std::uint64_t v) {
+  char digits[16];
+  const std::to_chars_result r = std::to_chars(digits, digits + 16, v, 16);
+  const std::size_t n = static_cast<std::size_t>(r.ptr - digits);
+  std::string out = "0x";
+  out.append(16 - n, '0');
+  out.append(digits, n);
   return out;
 }
 

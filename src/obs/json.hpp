@@ -30,6 +30,10 @@ void append_json_number_or_null(std::string& out, double v);
 
 std::string json_number(double v);
 
+// `v` as "0x" plus 16 zero-padded lowercase hex digits — the one spelling of
+// a graph signature in journal records, residual keys and exports.
+std::string hex_u64(std::uint64_t v);
+
 // Builder for one-line JSON object records, the format the bench binaries
 // emit one measurement per line in. Integer-valued doubles print without a
 // fractional part, so counters round-trip as integers.

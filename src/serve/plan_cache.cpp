@@ -138,9 +138,9 @@ void PlanCache::drain_pending(Shard& shard, std::unique_lock<std::mutex>& lock,
   }
 }
 
-PlanCache::PlanPtr PlanCache::get_or_compute(const dnn::Graph& graph,
+PlanCache::PlanPtr PlanCache::get_or_compute(std::uint64_t sig,
+                                             const dnn::Graph& graph,
                                              const BatchPlanFactory& factory) {
-  const std::uint64_t sig = graph_signature(graph);
   Shard& shard = shard_for(sig);
   std::unique_lock<std::mutex> lock(shard.mu);
   const auto it = shard.plans.find(sig);
@@ -191,6 +191,11 @@ PlanCache::PlanPtr PlanCache::get_or_compute(const dnn::Graph& graph,
     obs::default_trace().instant("plan_cache_coalesced", "serve");
   }
   return entry->plan;
+}
+
+PlanCache::PlanPtr PlanCache::get_or_compute(const dnn::Graph& graph,
+                                             const BatchPlanFactory& factory) {
+  return get_or_compute(graph_signature(graph), graph, factory);
 }
 
 PlanCache::PlanPtr PlanCache::get_or_compute(const dnn::Graph& graph,
@@ -264,7 +269,10 @@ std::vector<std::pair<std::uint64_t, PlanCache::PlanPtr>> PlanCache::snapshot()
 }
 
 PlanCache::PlanPtr PlanCache::lookup(const dnn::Graph& graph) const {
-  const std::uint64_t sig = graph_signature(graph);
+  return lookup(graph_signature(graph));
+}
+
+PlanCache::PlanPtr PlanCache::lookup(std::uint64_t sig) const {
   Shard& shard = shard_for(sig);
   const std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.plans.find(sig);

@@ -84,10 +84,16 @@ class PlanCache {
   // the slices sum to exactly `capacity`.
   explicit PlanCache(std::size_t num_shards = 8, std::size_t capacity = 0);
 
-  // The plan for `graph`'s signature, computing it (batched with any other
-  // misses pending on the shard) on first use and refreshing LRU recency on
-  // reuse. Thread-safe; each distinct signature is computed exactly once
-  // while it stays resident, and computation never holds the shard lock.
+  // The plan for `signature`, computing it from `graph` (batched with any
+  // other misses pending on the shard) on first use and refreshing LRU
+  // recency on reuse. `signature` must be graph_signature(graph): the
+  // serving layer hashes each deployed model once at deploy time and keys
+  // every request by that value, so a warm hit costs one shard probe.
+  // Thread-safe; each distinct signature is computed exactly once while it
+  // stays resident, and computation never holds the shard lock.
+  PlanPtr get_or_compute(std::uint64_t signature, const dnn::Graph& graph,
+                         const BatchPlanFactory& factory);
+  // Graph-keyed form: hashes `graph`, then forwards.
   PlanPtr get_or_compute(const dnn::Graph& graph,
                          const BatchPlanFactory& factory);
 
@@ -96,8 +102,11 @@ class PlanCache {
   // cross-miss batching advantage is lost.
   PlanPtr get_or_compute(const dnn::Graph& graph, const PlanFactory& factory);
 
-  // Read-only probe: the cached plan if present, nullptr otherwise. Counts
-  // only probe_hits (never hits/misses) and does not refresh recency.
+  // Read-only probe: the cached plan for `signature` if present, nullptr
+  // otherwise. Counts only probe_hits (never hits/misses) and does not
+  // refresh recency.
+  PlanPtr lookup(std::uint64_t signature) const;
+  // Graph-keyed form: hashes `graph`, then forwards.
   PlanPtr lookup(const dnn::Graph& graph) const;
 
   // Snapshot warm start (src/io plan snapshots): installs a plan under a

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <exception>
 #include <functional>
 #include <limits>
@@ -44,14 +43,6 @@ constexpr int kWaitTid = 2;    // async queue-wait spans (overlapping)
 // The adaptation layer's epoch records live at 32+ (serve/adapt.cpp).
 constexpr std::uint32_t kSeqRequest = 1;
 constexpr std::uint32_t kSeqFirstAttempt = 2;
-
-// The residual key form for a plan signature, shared with obs::Residuals.
-std::string hex_signature(std::uint64_t sig) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(sig));
-  return buf;
-}
 
 // Nearest-rank quantile over an ascending-sorted sample.
 double quantile(const std::vector<double>& sorted, double q) {
@@ -104,9 +95,11 @@ Server::Server(const hw::Platform& platform,
     throw std::invalid_argument("Server: backoff times must be >= 0");
   }
   model_sigs_.reserve(models_.size());
+  model_sig_hex_.reserve(models_.size());
   maxn_costs_.reserve(models_.size());
   for (const DeployedModel& m : models_) {
     model_sigs_.push_back(graph_signature(m.graph));
+    model_sig_hex_.push_back(obs::hex_u64(model_sigs_.back()));
     // Per-pass prediction for pinned-MAXN executions (the MAXN policy and
     // fault fallbacks): the lag-free analytic cost at maximum levels.
     maxn_costs_.push_back(hw::analytic_block_cost(
@@ -163,7 +156,7 @@ const core::PowerLens* Server::active_framework() const {
   return adapt_ != nullptr ? &adapt_->framework() : framework_;
 }
 
-PlanCache::PlanPtr Server::plan_for(const dnn::Graph& graph,
+PlanCache::PlanPtr Server::plan_for(std::size_t model_index,
                                     linalg::Workspace& ws) {
   const core::PowerLens* const framework = active_framework();
   if (framework == nullptr || !framework->trained()) {
@@ -178,8 +171,9 @@ PlanCache::PlanPtr Server::plan_for(const dnn::Graph& graph,
                         &ws](std::span<const dnn::Graph* const> graphs) {
     return framework->optimize_batch(graphs, &ws);
   };
+  const dnn::Graph& graph = models_[model_index].graph;
   if (config_.use_plan_cache) {
-    return cache_.get_or_compute(graph, factory);
+    return cache_.get_or_compute(model_sigs_[model_index], graph, factory);
   }
   const dnn::Graph* const one[] = {&graph};
   return std::make_shared<const core::OptimizationPlan>(
@@ -230,7 +224,7 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
         const DeployedModel& model = models_[task.model_index];
         PlanCache::PlanPtr plan;  // keeps the schedule alive through run()
         if (config_.policy == ServePolicy::kPowerLens) {
-          plan = plan_for(model.graph, ws);
+          plan = plan_for(task.model_index, ws);
         }
         ServiceResult out;
         if (plan != nullptr) {
@@ -479,7 +473,7 @@ class Server::Fold {
       }
     }
     if (plan_based_) {
-      w.field("plan_signature", hex_signature(o.plan_signature));
+      w.field("plan_signature", s_.model_sig_hex_[o.model_index]);
       w.field("plan_cold", o.plan_cold);
     }
     w.field_or_null("predicted_time_s", o.predicted_time_s);
@@ -918,8 +912,8 @@ ServeReport Server::serve(std::span<const Task> tasks) {
   std::vector<bool> plan_resident_before;
   if (config_.policy == ServePolicy::kPowerLens && config_.use_plan_cache) {
     plan_resident_before.reserve(models_.size());
-    for (const DeployedModel& m : models_) {
-      plan_resident_before.push_back(cache_.lookup(m.graph) != nullptr);
+    for (const std::uint64_t sig : model_sigs_) {
+      plan_resident_before.push_back(cache_.lookup(sig) != nullptr);
     }
   }
   marks_.clear();

@@ -142,6 +142,103 @@ TEST(JournalTest, MultiThreadedOverflowStillMatchesReference) {
   EXPECT_EQ(racy.jsonl(), reference.jsonl());
 }
 
+// Thread churn: the serving layer starts fresh workers on every serve()
+// call, each appending through a new shard. Exited threads' shards must be
+// reclaimed and resident records compacted, without changing a byte of the
+// export.
+TEST(JournalTest, ThreadChurnStaysBoundedAndMatchesReference) {
+  constexpr std::size_t kCapacity = 1000;
+  constexpr std::size_t kRounds = 50;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kPerThread = 100;
+  const auto fields = [](std::uint64_t task) {
+    return "\"task_sq\": " + std::to_string(task * task);
+  };
+
+  Journal reference(kCapacity);
+  Journal churned(kCapacity);
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    const std::uint64_t ref_run = reference.begin_run();
+    for (std::uint64_t task = 0; task < kThreads * kPerThread; ++task) {
+      reference.append(ref_run, task, 1, "request", fields(task));
+    }
+    const std::uint64_t run = churned.begin_run();
+    std::vector<std::thread> threads;
+    for (std::size_t k = 0; k < kThreads; ++k) {
+      threads.emplace_back([&churned, &fields, run, k] {
+        for (std::uint64_t task = k; task < kThreads * kPerThread;
+             task += kThreads) {
+          churned.append(run, task, 1, "request", fields(task));
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    ASSERT_LE(churned.resident(), Journal::kCompactFactor * kCapacity)
+        << "round " << round;
+    ASSERT_LE(churned.shards(), kThreads) << "round " << round;
+  }
+  EXPECT_EQ(churned.appended(), kRounds * kThreads * kPerThread);
+  EXPECT_EQ(churned.jsonl(), reference.jsonl());
+}
+
+// Compaction as the last event: exactly the top `capacity` keys survive,
+// so the export equals the reference with nothing appended afterwards.
+TEST(JournalTest, CompactionKeepsExactlyTheTopCapacityKeys) {
+  constexpr std::size_t kCapacity = 4;
+  Journal reference(kCapacity);
+  Journal journal(kCapacity);
+  const std::uint64_t run = journal.begin_run();
+  ASSERT_EQ(reference.begin_run(), run);
+  for (std::uint64_t task = 0; task <= 8; ++task) {
+    reference.append(run, task, 0, "e", "");
+  }
+  // Two threads fill 2 * capacity with interleaved keys; a third appends
+  // the one record that crosses the compaction threshold.
+  const auto append_tasks = [&](std::vector<std::uint64_t> tasks) {
+    std::thread([&journal, run, tasks] {
+      for (const std::uint64_t task : tasks) {
+        journal.append(run, task, 0, "e", "");
+      }
+    }).join();
+  };
+  append_tasks({0, 2, 4, 6});
+  append_tasks({1, 3, 5, 7});
+  EXPECT_EQ(journal.resident(), 2 * kCapacity);
+  append_tasks({8});
+  EXPECT_EQ(journal.resident(), kCapacity);
+  EXPECT_EQ(journal.evicted(), 2 * kCapacity + 1 - kCapacity);
+  EXPECT_EQ(journal.jsonl(), reference.jsonl());
+}
+
+// Many live threads at once: every shard may hold `capacity` records, so
+// only compaction keeps the total bounded.
+TEST(JournalTest, ManyLiveShardsCompactToTheBound) {
+  constexpr std::size_t kCapacity = 64;
+  constexpr std::size_t kThreads = 8;
+  constexpr std::uint64_t kTasks = 4000;
+
+  Journal reference(kCapacity);
+  const std::uint64_t ref_run = reference.begin_run();
+  for (std::uint64_t task = 0; task < kTasks; ++task) {
+    reference.append(ref_run, task, 0, "e", "");
+  }
+
+  Journal racy(kCapacity);
+  const std::uint64_t run = racy.begin_run();
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&racy, run, k] {
+      for (std::uint64_t task = k; task < kTasks; task += kThreads) {
+        racy.append(run, task, 0, "e", "");
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_LE(racy.resident(), Journal::kCompactFactor * kCapacity);
+  EXPECT_EQ(racy.jsonl(), reference.jsonl());
+}
+
 TEST(JournalTest, DisabledJournalDropsAppends) {
   Journal journal;
   journal.set_enabled(false);

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 
 namespace powerlens::obs {
@@ -39,6 +44,73 @@ TEST(JsonNumber, FractionsKeepPrecision) {
 TEST(JsonNumber, NonFiniteClampsToZero) {
   EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "0");
   EXPECT_EQ(json_number(std::nan("")), "0");
+}
+
+// The snprintf formatter append_json_number replaced, kept here as the
+// byte-for-byte oracle for the to_chars form.
+std::string snprintf_number(double v) {
+  if (!std::isfinite(v)) v = 0.0;
+  char buf[32];
+  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.12g", v);
+  }
+  return buf;
+}
+
+TEST(JsonNumber, MatchesSnprintfOracleOnEdgeValues) {
+  constexpr double k2p53 = 9007199254740992.0;
+  const double values[] = {
+      0.0, -0.0,
+      // Both sides of the 2^53 integer cut (the %.0f / %.12g switch).
+      k2p53 - 2.0, k2p53 - 1.0, k2p53, k2p53 + 2.0, -(k2p53 - 1.0), -k2p53,
+      4503599627370495.5, 1e15, 123456789012345.0,
+      // %g exponent switch points: below 1e-4 and at 12 integer digits.
+      1e-5, 9.99999999999e-5, 1e-4, 0.0001000000000005, 1e12, 999999999999.5,
+      999999999999.9, 1e12 + 0.5, -1e12 - 0.5, 99999999999.95,
+      // Subnormals and extremes.
+      std::numeric_limits<double>::denorm_min(), DBL_MIN, DBL_MIN / 3.0,
+      -DBL_MIN / 7.0, DBL_MAX, -DBL_MAX,
+      // Exact .5 rounding ties at %.12g's 12 significant digits.
+      100000000000.5, 100000000001.5, 999999999998.5, -100000000002.5,
+      0.5, 1.5, 2.5, -0.5, 0.125, 1.0000000000005,
+      // Non-finite values clamp to 0.
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  for (const double v : values) {
+    EXPECT_EQ(json_number(v), snprintf_number(v)) << v;
+  }
+}
+
+TEST(JsonNumber, MatchesSnprintfOracleOnRandomBitPatterns) {
+  std::mt19937_64 rng(20241015);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    if (json_number(v) != snprintf_number(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex << bits << ": "
+                    << json_number(v) << " vs " << snprintf_number(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonNumber, HexIsZeroPaddedLowercase) {
+  EXPECT_EQ(hex_u64(0), "0x0000000000000000");
+  EXPECT_EQ(hex_u64(0xabcULL), "0x0000000000000abc");
+  EXPECT_EQ(hex_u64(0xfedcba9876543210ULL), "0xfedcba9876543210");
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t v = rng() >> (i % 64);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    EXPECT_EQ(hex_u64(v), buf);
+  }
 }
 
 TEST(JsonWriter, BuildsObjectRecords) {

@@ -16,9 +16,11 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -469,6 +471,174 @@ TEST(PlanCacheTest, ConcurrentMissesCoalesceIntoOneBatchCall) {
   // drain after release computes them in one call: [a], then [b, c].
   EXPECT_EQ(factory_calls.load(), 2);
   EXPECT_EQ(max_batch.load(), 2u);
+}
+
+// --- Signature-keyed entry points ------------------------------------------
+//
+// The serving layer keys every request by the signature it computed at
+// deploy time. The graph-keyed forms hash and forward, so both must behave
+// identically for the same request set: same plans, counters, LRU eviction
+// order, coalesced joins and exception behaviour.
+
+// One API form: graph-keyed (hash per call) or signature-keyed.
+struct KeyedApi {
+  bool by_signature = false;
+  PlanCache::PlanPtr get(PlanCache& cache, const dnn::Graph& g,
+                         const PlanCache::BatchPlanFactory& factory) const {
+    return by_signature ? cache.get_or_compute(graph_signature(g), g, factory)
+                        : cache.get_or_compute(g, factory);
+  }
+  PlanCache::PlanPtr probe(const PlanCache& cache, const dnn::Graph& g) const {
+    return by_signature ? cache.lookup(graph_signature(g)) : cache.lookup(g);
+  }
+};
+
+// A seeded mix of serving gets, probes and failing computes against one
+// cache, logged op by op with every counter and the resident set.
+std::vector<std::string> run_keyed_script(const KeyedApi& api,
+                                          std::size_t shards,
+                                          std::size_t capacity) {
+  std::vector<dnn::Graph> graphs;
+  for (int batch = 1; batch <= 6; ++batch) {
+    graphs.push_back(dnn::make_alexnet(batch));
+  }
+  constexpr std::size_t kPoison = 3;  // its factory call throws
+  std::vector<std::string> log;
+  const PlanCache::BatchPlanFactory factory =
+      [&](std::span<const dnn::Graph* const> batch) {
+        std::vector<core::OptimizationPlan> plans;
+        for (const dnn::Graph* g : batch) {
+          const auto idx = static_cast<std::size_t>(g - graphs.data());
+          if (idx == kPoison) throw std::runtime_error("poisoned graph");
+          log.push_back("compute " + std::to_string(idx));
+          core::OptimizationPlan plan;
+          plan.block_levels = {idx};
+          plans.push_back(std::move(plan));
+        }
+        return plans;
+      };
+
+  PlanCache cache(shards, capacity);
+  std::mt19937 rng(1234);
+  for (int op = 0; op < 300; ++op) {
+    const std::size_t idx = rng() % graphs.size();
+    std::string line;
+    if (rng() % 4 == 0) {
+      const PlanCache::PlanPtr p = api.probe(cache, graphs[idx]);
+      line = "probe " + std::to_string(idx) + " -> " +
+             (p ? std::to_string(p->block_levels.at(0)) : "none");
+    } else {
+      try {
+        const PlanCache::PlanPtr p = api.get(cache, graphs[idx], factory);
+        line = "get " + std::to_string(idx) + " -> " +
+               std::to_string(p->block_levels.at(0));
+      } catch (const std::runtime_error& e) {
+        line = "get " + std::to_string(idx) + " threw " + e.what();
+      }
+    }
+    line += " hits=" + std::to_string(cache.hits()) +
+            " misses=" + std::to_string(cache.misses()) +
+            " probes=" + std::to_string(cache.probe_hits()) +
+            " evictions=" + std::to_string(cache.evictions()) + " resident=";
+    for (const auto& [sig, plan] : cache.snapshot()) {
+      line += std::to_string(plan->block_levels.at(0));
+    }
+    log.push_back(std::move(line));
+  }
+  return log;
+}
+
+TEST(PlanCacheKeyedTest, SignatureAndGraphKeyedFormsServeIdentically) {
+  const std::pair<std::size_t, std::size_t> configs[] = {
+      {1, 2}, {1, 4}, {8, 3}, {2, 1}, {8, 0}};
+  for (const auto& [shards, capacity] : configs) {
+    const std::vector<std::string> by_graph =
+        run_keyed_script(KeyedApi{false}, shards, capacity);
+    const std::vector<std::string> by_sig =
+        run_keyed_script(KeyedApi{true}, shards, capacity);
+    ASSERT_EQ(by_graph.size(), by_sig.size());
+    for (std::size_t i = 0; i < by_graph.size(); ++i) {
+      ASSERT_EQ(by_graph[i], by_sig[i])
+          << "shards=" << shards << " capacity=" << capacity << " step " << i;
+    }
+  }
+}
+
+// Coalescing through either form: the leader parks in its compute, two
+// fresh misses and one duplicate arrive — the duplicate joins in flight and
+// the fresh misses share the drain batch.
+TEST(PlanCacheKeyedTest, CoalescedJoinsMatchAcrossForms) {
+  for (const bool by_signature : {false, true}) {
+    const KeyedApi api{by_signature};
+    PlanCache cache(/*num_shards=*/1);
+    const dnn::Graph a = dnn::make_alexnet(2);
+    const dnn::Graph b = dnn::make_alexnet(4);
+    const dnn::Graph c = dnn::make_alexnet(8);
+    Gate entered;
+    Gate release;
+    std::atomic<int> factory_calls{0};
+    const PlanCache::BatchPlanFactory factory =
+        [&](std::span<const dnn::Graph* const> graphs) {
+          if (factory_calls.fetch_add(1) == 0) {
+            entered.open();
+            release.wait();
+          }
+          return std::vector<core::OptimizationPlan>(graphs.size());
+        };
+    std::thread leader([&] { api.get(cache, a, factory); });
+    entered.wait();
+    std::vector<std::thread> stragglers;
+    for (const dnn::Graph* g : {&b, &c, &a}) {
+      stragglers.emplace_back([&, g] { api.get(cache, *g, factory); });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    release.open();
+    leader.join();
+    for (std::thread& t : stragglers) t.join();
+    EXPECT_EQ(cache.misses(), 3u) << "by_signature=" << by_signature;
+    EXPECT_EQ(cache.hits(), 1u) << "by_signature=" << by_signature;
+    EXPECT_EQ(cache.resident(), 3u) << "by_signature=" << by_signature;
+    EXPECT_EQ(factory_calls.load(), 2) << "by_signature=" << by_signature;
+  }
+}
+
+// A failing compute rethrows to the leader and every joined waiter, counts
+// nothing and caches nothing, through either form.
+TEST(PlanCacheKeyedTest, ExceptionReachesJoinedWaitersInBothForms) {
+  for (const bool by_signature : {false, true}) {
+    const KeyedApi api{by_signature};
+    PlanCache cache(/*num_shards=*/1);
+    const dnn::Graph g = dnn::make_alexnet(4);
+    Gate entered;
+    Gate release;
+    const PlanCache::BatchPlanFactory failing =
+        [&](std::span<const dnn::Graph* const>)
+        -> std::vector<core::OptimizationPlan> {
+      entered.open();
+      release.wait();
+      throw std::runtime_error("no plan");
+    };
+    std::atomic<int> threw{0};
+    const auto request = [&] {
+      try {
+        api.get(cache, g, failing);
+      } catch (const std::runtime_error&) {
+        ++threw;
+      }
+    };
+    std::thread leader(request);
+    entered.wait();
+    std::thread waiter(request);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    release.open();
+    leader.join();
+    waiter.join();
+    EXPECT_EQ(threw.load(), 2) << "by_signature=" << by_signature;
+    EXPECT_EQ(cache.hits(), 0u) << "by_signature=" << by_signature;
+    EXPECT_EQ(cache.misses(), 0u) << "by_signature=" << by_signature;
+    EXPECT_EQ(cache.resident(), 0u) << "by_signature=" << by_signature;
+    EXPECT_EQ(api.probe(cache, g), nullptr);
+  }
 }
 
 TEST(PlanCacheTest, FactoryExceptionPropagatesAndCachesNothing) {

@@ -149,6 +149,35 @@ TEST_F(ServeObservabilityTest, JournalBytesInvariantToWorkerCount) {
   EXPECT_EQ(j1.jsonl(), j8.jsonl());
 }
 
+// Every serve() starts fresh worker threads, each appending through a new
+// journal shard. Across many serves on one long-lived server the journal
+// must stay within its memory bound — and still export the same bytes at
+// any worker count.
+TEST_F(ServeObservabilityTest, JournalStaysBoundedAcrossRepeatedServes) {
+  constexpr std::size_t kCapacity = 64;  // overflows within a few serves
+  constexpr int kServes = 20;
+  std::string exports[2];
+  const std::size_t worker_counts[2] = {1, 4};
+  for (std::size_t i = 0; i < 2; ++i) {
+    obs::Journal journal(kCapacity);
+    Server server(*platform_, *models_,
+                  config_with(ServePolicy::kPowerLens, worker_counts[i],
+                              chaos_spec(), &journal),
+                  framework_);
+    const RequestStream stream(models_->size(), stream_config());
+    for (int serve = 0; serve < kServes; ++serve) {
+      server.serve(stream);
+      ASSERT_LE(journal.resident(), obs::Journal::kCompactFactor * kCapacity)
+          << worker_counts[i] << " workers, serve " << serve;
+      // The fold thread's shard plus this serve's exited workers.
+      ASSERT_LE(journal.shards(), worker_counts[i] + 1);
+    }
+    ASSERT_GT(journal.appended(), kServes * kTasks);
+    exports[i] = journal.jsonl();
+  }
+  EXPECT_EQ(exports[0], exports[1]);
+}
+
 TEST_F(ServeObservabilityTest, ResidualSnapshotInvariantToWorkerCount) {
   obs::Residuals r1, r4, r8;
   serve_with(
