@@ -372,6 +372,29 @@ std::string trainer_record() {
       .str();
 }
 
+// The benchmark's host calibration (perfbench's linalg.calib_gemm_ms): the
+// median of 15 dispatched 256^3 gemm_nn calls on a fixed fill. Recorded
+// next to the absolute ms/plan budget so a slow host reads as one.
+double calib_gemm_ms() {
+  constexpr std::size_t n = 256;
+  std::vector<double> a(n * n), b(n * n), c(n * n);
+  for (std::size_t i = 0; i < n * n; ++i) {
+    a[i] = static_cast<double>(i % 97) / 97.0;
+    b[i] = static_cast<double>(i % 89) / 89.0;
+  }
+  std::vector<double> ms;
+  for (int rep = 0; rep < 15; ++rep) {
+    ms.push_back(best_of_ms(
+        [&] {
+          linalg::kernels::gemm_nn(n, n, n, a.data(), n, b.data(), n,
+                                   c.data(), n);
+        },
+        1));
+  }
+  std::nth_element(ms.begin(), ms.begin() + 7, ms.end());
+  return ms[7];
+}
+
 std::string plan_compute_record(core::PowerLens& framework,
                                 const std::vector<dnn::Graph>& graphs) {
   // Plan-cache-miss latency: PowerLens::optimize with heap-allocated
@@ -393,7 +416,7 @@ std::string plan_compute_record(core::PowerLens& framework,
                9) /
            static_cast<double>(graphs.size());
   };
-  // The coalesced-miss path: all graphs planned through one optimize_batch
+  // The offline batch API: all graphs planned through one optimize_batch
   // call (shared eigendecomposition sweeps). Cross-check first — batching
   // must never change a plan.
   std::vector<const dnn::Graph*> graph_ptrs;
@@ -424,11 +447,12 @@ std::string plan_compute_record(core::PowerLens& framework,
   heap_ms = std::min(heap_ms, time_path(nullptr));
   workspace_ms = std::min(workspace_ms, time_path(&ws));
   batched_ms = std::min(batched_ms, time_batched());
+  const double calib_ms = calib_gemm_ms();
   std::printf(
       "plan       heap %8.3f ms/plan  workspace %8.3f ms/plan  batched "
-      "%8.3f ms/plan  %5.2fx serial, %5.2fx batched\n",
+      "%8.3f ms/plan  %5.2fx serial, %5.2fx batched  (calib_gemm %.3f ms)\n",
       heap_ms, workspace_ms, batched_ms, heap_ms / workspace_ms,
-      heap_ms / batched_ms);
+      heap_ms / batched_ms, calib_ms);
   return obs::JsonWriter()
       .field("graphs", static_cast<double>(graphs.size()))
       .field("heap_ms_per_plan", heap_ms)
@@ -436,6 +460,7 @@ std::string plan_compute_record(core::PowerLens& framework,
       .field("speedup", heap_ms / workspace_ms)
       .field("batched_ms_per_plan", batched_ms)
       .field("batched_speedup_vs_serial", workspace_ms / batched_ms)
+      .field("calib_gemm_ms", calib_ms)
       .str();
 }
 

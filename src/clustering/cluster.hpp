@@ -60,8 +60,8 @@ void power_distances_into(const linalg::Matrix& depthwise_features,
 // then computes every distance matrix through one shared
 // eigendecomposition batch (power_distance_matrix_batch_into). dists[i] is
 // bitwise identical to power_distances_into on tables[i]; `tables` and
-// `dists` must be the same length. This is the coalesced plan-compute
-// path's entry into Algorithm 1.
+// `dists` must be the same length. This is PowerLens::optimize_batch's
+// entry into Algorithm 1.
 void power_distances_batch_into(
     std::span<const linalg::Matrix* const> depthwise_tables,
     const DistanceParams& params, linalg::Workspace& ws,

@@ -169,8 +169,8 @@ class PowerLens {
   // batch (clustering::power_distances_batch_into) instead of one
   // decomposition per graph. plans[i] is bitwise identical to
   // optimize(*graphs[i], ws) — batching changes wall-clock, never results
-  // (test-asserted; the serving layer's coalesced plan-cache misses depend
-  // on it). Throws std::logic_error before train().
+  // (test-asserted). An offline API: serving computes each plan-cache miss
+  // with optimize(). Throws std::logic_error before train().
   std::vector<OptimizationPlan> optimize_batch(
       std::span<const dnn::Graph* const> graphs,
       linalg::Workspace* ws = nullptr) const;

@@ -29,7 +29,7 @@ EigenDecomposition eigen_symmetric(const Matrix& a, double symmetry_tol = 1e-9);
 
 // Batched decomposition: drives many independent symmetric matrices through
 // shared cyclic-Jacobi sweep rounds (the batched offline path — one call
-// decomposes every covariance a coalesced plan-compute batch needs).
+// decomposes every covariance an optimize_batch call needs).
 // Per-matrix convergence is checked on the schedule eigen_symmetric uses
 // solo and rotations never cross matrices, so result i is bitwise identical
 // to eigen_symmetric(*as[i]). Validates every input before decomposing any;

@@ -36,8 +36,8 @@ obs::Counter& eviction_counter() {
 }
 
 obs::Histogram& plan_compute_histogram() {
-  // Cold-cache plan cost in milliseconds per plan (batch wall time divided
-  // by batch size). Bounds bracket the tuned serving target (<= 0.7 ms) so
+  // Cold-cache plan cost in milliseconds, one observation per computed plan
+  // at its own wall time. Bounds bracket the tuned serving target (<= 0.7 ms) so
   // regressions show up as mass shifting right.
   static constexpr std::array<double, 10> kBoundsMs = {
       0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 1.0, 2.0, 5.0, 10.0};
@@ -77,136 +77,87 @@ bool PlanCache::insert_resident(Shard& shard, std::uint64_t sig,
     eviction_counter().inc();
   }
   shard.lru.push_front(sig);
-  shard.plans.emplace(sig, Entry{plan, shard.lru.begin()});
-  return true;
-}
-
-void PlanCache::drain_pending(Shard& shard, std::unique_lock<std::mutex>& lock,
-                              const BatchPlanFactory& factory) {
-  while (!shard.pending.empty()) {
-    // Snapshot this round's misses; new arrivals append to a fresh pending
-    // list and are drained by the next iteration.
-    const auto batch = std::move(shard.pending);
-    shard.pending.clear();
-    std::vector<const dnn::Graph*> graphs;
-    graphs.reserve(batch.size());
-    for (const auto& [sig, graph] : batch) graphs.push_back(graph);
-
-    lock.unlock();
-    std::vector<core::OptimizationPlan> plans;
-    std::exception_ptr error;
-    // Wall-clock span on the leader's own track: plan-cache misses are the
-    // serving path's dominant cold cost, and the batch size shows how much
-    // coalescing amortised it.
-    obs::ScopedSpan span(
-        obs::default_trace(), "plan_cache_miss_batch", "serve",
-        {obs::TraceArg::num("plans", static_cast<double>(graphs.size()))});
-    const auto start = std::chrono::steady_clock::now();
-    try {
-      plans = factory(graphs);
-      if (plans.size() != graphs.size()) {
-        throw std::logic_error(
-            "PlanCache: batch factory returned wrong plan count");
-      }
-    } catch (...) {
-      error = std::current_exception();
-    }
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    lock.lock();
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::uint64_t sig = batch[i].first;
-      const auto in_it = shard.inflight.find(sig);
-      if (error != nullptr) {
-        in_it->second->error = error;
-      } else {
-        in_it->second->plan = std::make_shared<const core::OptimizationPlan>(
-            std::move(plans[i]));
-        insert_resident(shard, sig, in_it->second->plan);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        miss_counter().inc();
-        plan_compute_histogram().observe(
-            elapsed_ms / static_cast<double>(batch.size()));
-      }
-      in_it->second->ready = true;
-      shard.inflight.erase(in_it);
-    }
-    shard.cv.notify_all();
+  try {
+    shard.plans.emplace(sig, Entry{plan, shard.lru.begin()});
+  } catch (...) {
+    shard.lru.pop_front();  // no LRU key without its plan
+    throw;
   }
+  return true;
 }
 
 PlanCache::PlanPtr PlanCache::get_or_compute(std::uint64_t sig,
                                              const dnn::Graph& graph,
-                                             const BatchPlanFactory& factory) {
+                                             const PlanFactory& factory) {
   Shard& shard = shard_for(sig);
-  std::unique_lock<std::mutex> lock(shard.mu);
-  const auto it = shard.plans.find(sig);
-  if (it != shard.plans.end()) {
-    // Refresh recency: splice the key to the MRU end of the shard list.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    hit_counter().inc();
-    return it->second.plan;
-  }
-
-  // Join an in-flight computation if one exists; otherwise register one.
-  // `graph` must stay valid until the entry resolves — guaranteed because
-  // this thread blocks (waiting or leading) until then.
-  const auto in_it = shard.inflight.find(sig);
-  const bool joined = in_it != shard.inflight.end();
   std::shared_ptr<InFlight> entry;
-  if (joined) {
-    entry = in_it->second;
-  } else {
+  {
+    std::unique_lock<std::mutex> lock(shard.mu);
+    const auto it = shard.plans.find(sig);
+    if (it != shard.plans.end()) {
+      // Refresh recency: splice the key to the MRU end of the shard list.
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      hit_counter().inc();
+      return it->second.plan;
+    }
+    const auto in_it = shard.inflight.find(sig);
+    if (in_it != shard.inflight.end()) {
+      // Another thread is computing this signature: wait for its result.
+      // A join is served without a fresh computation, so it counts as a hit.
+      const std::shared_ptr<InFlight> joined = in_it->second;
+      shard.cv.wait(lock, [&] { return joined->ready; });
+      if (joined->error != nullptr) std::rethrow_exception(joined->error);
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      hit_counter().inc();
+      obs::default_trace().instant("plan_cache_join", "serve");
+      return joined->plan;
+    }
     entry = std::make_shared<InFlight>();
     shard.inflight.emplace(sig, entry);
-    shard.pending.emplace_back(sig, &graph);
   }
 
-  if (!shard.leader_active) {
-    // Become the shard leader: compute every pending miss (ours included,
-    // unless we joined) in batched factory calls with the lock released.
-    shard.leader_active = true;
-    try {
-      drain_pending(shard, lock, factory);
-    } catch (...) {
-      shard.leader_active = false;
-      throw;
+  // This thread registered the miss: compute it with the lock released.
+  // Everything that can throw between registration and publication is
+  // caught here, so the entry below is resolved on every exit path.
+  PlanPtr plan;
+  std::exception_ptr error;
+  double elapsed_ms = 0.0;
+  try {
+    obs::ScopedSpan span(obs::default_trace(), "plan_cache_miss", "serve");
+    const auto start = std::chrono::steady_clock::now();
+    plan = std::make_shared<const core::OptimizationPlan>(factory(graph));
+    elapsed_ms = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  {
+    const std::lock_guard<std::mutex> lock(shard.mu);
+    if (error == nullptr) {
+      try {
+        insert_resident(shard, sig, plan);
+      } catch (...) {
+        error = std::current_exception();
+      }
     }
-    shard.leader_active = false;
-    // Entries registered while we were the leader are all resolved; a join
-    // that raced in just before leadership may still need the wait below.
+    if (error == nullptr) entry->plan = plan;
+    entry->error = error;
+    entry->ready = true;
+    shard.inflight.erase(sig);
   }
-  shard.cv.wait(lock, [&] { return entry->ready; });
-
-  if (entry->error != nullptr) std::rethrow_exception(entry->error);
-  if (joined) {
-    // Coalesced duplicate: served without a fresh computation, so it counts
-    // as a hit — totals match the PR-5 compute-under-lock discipline.
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    hit_counter().inc();
-    obs::default_trace().instant("plan_cache_coalesced", "serve");
-  }
-  return entry->plan;
-}
-
-PlanCache::PlanPtr PlanCache::get_or_compute(const dnn::Graph& graph,
-                                             const BatchPlanFactory& factory) {
-  return get_or_compute(graph_signature(graph), graph, factory);
+  shard.cv.notify_all();
+  if (error != nullptr) std::rethrow_exception(error);
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  miss_counter().inc();
+  plan_compute_histogram().observe(elapsed_ms);
+  return plan;
 }
 
 PlanCache::PlanPtr PlanCache::get_or_compute(const dnn::Graph& graph,
                                              const PlanFactory& factory) {
-  return get_or_compute(
-      graph, [&factory](std::span<const dnn::Graph* const> graphs) {
-        std::vector<core::OptimizationPlan> plans;
-        plans.reserve(graphs.size());
-        for (const dnn::Graph* g : graphs) plans.push_back(factory(*g));
-        return plans;
-      });
+  return get_or_compute(graph_signature(graph), graph, factory);
 }
 
 bool PlanCache::preload(std::uint64_t signature, PlanPtr plan) {
@@ -240,7 +191,7 @@ bool PlanCache::install(std::uint64_t signature, PlanPtr plan) {
   Shard& shard = shard_for(signature);
   const std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.inflight.contains(signature)) {
-    // A leader is computing this signature; replacing it mid-flight would
+    // A miss is computing this signature; replacing it mid-flight would
     // race the waiters' published result. The adaptation layer runs between
     // epochs (nothing in flight), so refusing is both safe and moot.
     return false;

@@ -207,8 +207,8 @@ TEST_F(PowerLensTest, PlanForViewRejectsMismatchedView) {
 }
 
 // optimize_batch shares eigendecomposition sweeps across the batch but must
-// reproduce each solo optimize() plan field-exactly — the coalesced
-// plan-cache miss path relies on batching never changing a plan.
+// reproduce each solo optimize() plan field-exactly — batching may change
+// wall-clock, never a plan.
 TEST_F(PowerLensTest, OptimizeBatchMatchesSoloOptimizeFieldExactly) {
   std::vector<dnn::Graph> graphs;
   graphs.push_back(dnn::make_alexnet(4));

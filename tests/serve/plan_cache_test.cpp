@@ -17,7 +17,6 @@
 #include <memory>
 #include <mutex>
 #include <random>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -364,8 +363,8 @@ TEST(PlanCacheTest, HitEqualsFreshOptimizeForTrainedFramework) {
   }
 }
 
-// A latch-style gate the blocking-factory tests use to hold the shard
-// leader inside its compute while the test arranges concurrent traffic.
+// A latch-style gate the blocking-factory tests use to hold a miss inside
+// its compute while the test arranges concurrent traffic.
 class Gate {
  public:
   void open() {
@@ -378,6 +377,12 @@ class Gate {
   void wait() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return open_; });
+  }
+  // Bounded form for tests whose regression would otherwise hang: true
+  // when the gate opened within `limit`.
+  bool wait_for(std::chrono::milliseconds limit) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, limit, [&] { return open_; });
   }
   bool is_open() {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -424,67 +429,18 @@ TEST(PlanCacheTest, HitsDoNotBlockBehindAnInFlightMissCompute) {
   EXPECT_EQ(cache.hits(), 1u);
 }
 
-// Misses arriving while the shard leader is computing coalesce into ONE
-// batch factory call, and a duplicate of an in-flight signature joins the
-// existing computation instead of recomputing.
-TEST(PlanCacheTest, ConcurrentMissesCoalesceIntoOneBatchCall) {
-  PlanCache cache(/*num_shards=*/1);
-  const dnn::Graph a = dnn::make_alexnet(2);
-  const dnn::Graph b = dnn::make_alexnet(4);
-  const dnn::Graph c = dnn::make_alexnet(8);
-
-  Gate entered;
-  Gate release;
-  std::atomic<int> factory_calls{0};
-  std::atomic<std::size_t> max_batch{0};
-  const PlanCache::BatchPlanFactory factory =
-      [&](std::span<const dnn::Graph* const> graphs) {
-        if (factory_calls.fetch_add(1) == 0) {
-          entered.open();
-          release.wait();
-        }
-        std::size_t seen = max_batch.load();
-        while (seen < graphs.size() &&
-               !max_batch.compare_exchange_weak(seen, graphs.size())) {
-        }
-        return std::vector<core::OptimizationPlan>(graphs.size());
-      };
-
-  std::thread leader([&] { cache.get_or_compute(a, factory); });
-  entered.wait();  // the leader is parked inside compute([a])
-  std::vector<std::thread> stragglers;
-  stragglers.emplace_back([&] { cache.get_or_compute(b, factory); });
-  stragglers.emplace_back([&] { cache.get_or_compute(c, factory); });
-  stragglers.emplace_back([&] { cache.get_or_compute(a, factory); });
-  // Give the stragglers time to register with the shard; if one loses the
-  // race it simply leads its own batch, which the assertions below allow
-  // for via the counters (they are interleaving-independent).
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  release.open();
-  leader.join();
-  for (std::thread& t : stragglers) t.join();
-
-  EXPECT_EQ(cache.misses(), 3u);  // a, b, c each computed exactly once
-  EXPECT_EQ(cache.hits(), 1u);    // the duplicate `a` joined in flight
-  EXPECT_EQ(cache.size(), 3u);
-  // b and c were pending together while the leader was parked, so the
-  // drain after release computes them in one call: [a], then [b, c].
-  EXPECT_EQ(factory_calls.load(), 2);
-  EXPECT_EQ(max_batch.load(), 2u);
-}
-
 // --- Signature-keyed entry points ------------------------------------------
 //
 // The serving layer keys every request by the signature it computed at
 // deploy time. The graph-keyed forms hash and forward, so both must behave
 // identically for the same request set: same plans, counters, LRU eviction
-// order, coalesced joins and exception behaviour.
+// order, concurrent misses, in-flight joins and exception behaviour.
 
 // One API form: graph-keyed (hash per call) or signature-keyed.
 struct KeyedApi {
   bool by_signature = false;
   PlanCache::PlanPtr get(PlanCache& cache, const dnn::Graph& g,
-                         const PlanCache::BatchPlanFactory& factory) const {
+                         const PlanCache::PlanFactory& factory) const {
     return by_signature ? cache.get_or_compute(graph_signature(g), g, factory)
                         : cache.get_or_compute(g, factory);
   }
@@ -504,19 +460,14 @@ std::vector<std::string> run_keyed_script(const KeyedApi& api,
   }
   constexpr std::size_t kPoison = 3;  // its factory call throws
   std::vector<std::string> log;
-  const PlanCache::BatchPlanFactory factory =
-      [&](std::span<const dnn::Graph* const> batch) {
-        std::vector<core::OptimizationPlan> plans;
-        for (const dnn::Graph* g : batch) {
-          const auto idx = static_cast<std::size_t>(g - graphs.data());
-          if (idx == kPoison) throw std::runtime_error("poisoned graph");
-          log.push_back("compute " + std::to_string(idx));
-          core::OptimizationPlan plan;
-          plan.block_levels = {idx};
-          plans.push_back(std::move(plan));
-        }
-        return plans;
-      };
+  const PlanCache::PlanFactory factory = [&](const dnn::Graph& g) {
+    const auto idx = static_cast<std::size_t>(&g - graphs.data());
+    if (idx == kPoison) throw std::runtime_error("poisoned graph");
+    log.push_back("compute " + std::to_string(idx));
+    core::OptimizationPlan plan;
+    plan.block_levels = {idx};
+    return plan;
+  };
 
   PlanCache cache(shards, capacity);
   std::mt19937 rng(1234);
@@ -564,46 +515,95 @@ TEST(PlanCacheKeyedTest, SignatureAndGraphKeyedFormsServeIdentically) {
   }
 }
 
-// Coalescing through either form: the leader parks in its compute, two
-// fresh misses and one duplicate arrive — the duplicate joins in flight and
-// the fresh misses share the drain batch.
-TEST(PlanCacheKeyedTest, CoalescedJoinsMatchAcrossForms) {
+// Bound on every wait below: a regression to a protocol that parks one
+// miss behind another fails the test instead of hanging it.
+constexpr std::chrono::milliseconds kBound{10000};
+
+// Two distinct misses on ONE shard compute at the same time: each thread
+// that registers a miss computes it itself, so neither waits for the other.
+TEST(PlanCacheKeyedTest, DistinctMissesOnOneShardComputeConcurrently) {
   for (const bool by_signature : {false, true}) {
     const KeyedApi api{by_signature};
     PlanCache cache(/*num_shards=*/1);
     const dnn::Graph a = dnn::make_alexnet(2);
     const dnn::Graph b = dnn::make_alexnet(4);
-    const dnn::Graph c = dnn::make_alexnet(8);
-    Gate entered;
+    Gate entered_a;
+    Gate entered_b;
     Gate release;
     std::atomic<int> factory_calls{0};
-    const PlanCache::BatchPlanFactory factory =
-        [&](std::span<const dnn::Graph* const> graphs) {
-          if (factory_calls.fetch_add(1) == 0) {
-            entered.open();
-            release.wait();
-          }
-          return std::vector<core::OptimizationPlan>(graphs.size());
-        };
-    std::thread leader([&] { api.get(cache, a, factory); });
-    entered.wait();
-    std::vector<std::thread> stragglers;
-    for (const dnn::Graph* g : {&b, &c, &a}) {
-      stragglers.emplace_back([&, g] { api.get(cache, *g, factory); });
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const PlanCache::PlanFactory factory = [&](const dnn::Graph& g) {
+      ++factory_calls;
+      (&g == &a ? entered_a : entered_b).open();
+      release.wait_for(kBound);
+      return core::OptimizationPlan{};
+    };
+    std::thread miss_a([&] { api.get(cache, a, factory); });
+    std::thread miss_b([&] { api.get(cache, b, factory); });
+    // Both factories must be entered before either is released.
+    const bool both_entered =
+        entered_a.wait_for(kBound) && entered_b.wait_for(kBound);
     release.open();
-    leader.join();
-    for (std::thread& t : stragglers) t.join();
-    EXPECT_EQ(cache.misses(), 3u) << "by_signature=" << by_signature;
-    EXPECT_EQ(cache.hits(), 1u) << "by_signature=" << by_signature;
-    EXPECT_EQ(cache.resident(), 3u) << "by_signature=" << by_signature;
+    miss_a.join();
+    miss_b.join();
+    EXPECT_TRUE(both_entered) << "by_signature=" << by_signature;
     EXPECT_EQ(factory_calls.load(), 2) << "by_signature=" << by_signature;
+    EXPECT_EQ(cache.misses(), 2u) << "by_signature=" << by_signature;
+    EXPECT_EQ(cache.hits(), 0u) << "by_signature=" << by_signature;
+    EXPECT_EQ(cache.resident(), 2u) << "by_signature=" << by_signature;
   }
 }
 
-// A failing compute rethrows to the leader and every joined waiter, counts
-// nothing and caches nothing, through either form.
+// A request for a signature already in flight waits for that computation:
+// it never calls the factory, counts one hit, and receives the very plan
+// object the computing thread published. Factory calls equal the distinct
+// signatures requested.
+TEST(PlanCacheKeyedTest, InFlightDuplicateJoinsWithoutComputing) {
+  for (const bool by_signature : {false, true}) {
+    const KeyedApi api{by_signature};
+    PlanCache cache(/*num_shards=*/1);
+    const dnn::Graph a = dnn::make_alexnet(2);
+    const dnn::Graph b = dnn::make_alexnet(4);
+    Gate entered;
+    Gate release;
+    std::atomic<int> calls_a{0};
+    std::atomic<int> calls_b{0};
+    const PlanCache::PlanFactory factory = [&](const dnn::Graph& g) {
+      if (&g == &a) {
+        ++calls_a;
+        entered.open();
+        release.wait_for(kBound);
+      } else {
+        ++calls_b;
+      }
+      return core::OptimizationPlan{};
+    };
+    PlanCache::PlanPtr first;
+    PlanCache::PlanPtr duplicate;
+    std::thread miss([&] { first = api.get(cache, a, factory); });
+    EXPECT_TRUE(entered.wait_for(kBound));
+    std::thread join([&] { duplicate = api.get(cache, a, factory); });
+    // A distinct miss is not held up by the in-flight one.
+    EXPECT_NE(api.get(cache, b, factory), nullptr);
+    // Give the duplicate time to reach the in-flight entry; if it loses
+    // the race it hits the published plan instead, which the assertions
+    // below allow for (both count one hit and share the plan).
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(cache.hits(), 0u) << "a join counts only once resolved";
+    release.open();
+    miss.join();
+    join.join();
+    EXPECT_EQ(calls_a.load(), 1) << "by_signature=" << by_signature;
+    EXPECT_EQ(calls_b.load(), 1) << "by_signature=" << by_signature;
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(duplicate.get(), first.get()) << "by_signature=" << by_signature;
+    EXPECT_EQ(cache.misses(), 2u) << "by_signature=" << by_signature;
+    EXPECT_EQ(cache.hits(), 1u) << "by_signature=" << by_signature;
+    EXPECT_EQ(cache.resident(), 2u) << "by_signature=" << by_signature;
+  }
+}
+
+// A failing compute rethrows to its computing thread and every joined
+// waiter, counts nothing and caches nothing, through either form.
 TEST(PlanCacheKeyedTest, ExceptionReachesJoinedWaitersInBothForms) {
   for (const bool by_signature : {false, true}) {
     const KeyedApi api{by_signature};
@@ -611,9 +611,8 @@ TEST(PlanCacheKeyedTest, ExceptionReachesJoinedWaitersInBothForms) {
     const dnn::Graph g = dnn::make_alexnet(4);
     Gate entered;
     Gate release;
-    const PlanCache::BatchPlanFactory failing =
-        [&](std::span<const dnn::Graph* const>)
-        -> std::vector<core::OptimizationPlan> {
+    const PlanCache::PlanFactory failing =
+        [&](const dnn::Graph&) -> core::OptimizationPlan {
       entered.open();
       release.wait();
       throw std::runtime_error("no plan");
@@ -626,12 +625,12 @@ TEST(PlanCacheKeyedTest, ExceptionReachesJoinedWaitersInBothForms) {
         ++threw;
       }
     };
-    std::thread leader(request);
+    std::thread computing(request);
     entered.wait();
     std::thread waiter(request);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     release.open();
-    leader.join();
+    computing.join();
     waiter.join();
     EXPECT_EQ(threw.load(), 2) << "by_signature=" << by_signature;
     EXPECT_EQ(cache.hits(), 0u) << "by_signature=" << by_signature;
@@ -659,17 +658,6 @@ TEST(PlanCacheTest, FactoryExceptionPropagatesAndCachesNothing) {
   }),
             nullptr);
   EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(PlanCacheTest, BatchFactoryWrongPlanCountThrows) {
-  PlanCache cache;
-  const dnn::Graph g = dnn::make_alexnet(4);
-  const PlanCache::BatchPlanFactory broken =
-      [](std::span<const dnn::Graph* const>) {
-        return std::vector<core::OptimizationPlan>{};  // nothing for anyone
-      };
-  EXPECT_THROW(cache.get_or_compute(g, broken), std::logic_error);
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(PlanCacheTest, PlanComputeHistogramSurfacesInPrometheusExport) {

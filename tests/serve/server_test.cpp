@@ -13,7 +13,11 @@
 #include "baselines/ondemand.hpp"
 #include "core/powerlens.hpp"
 #include "dnn/models.hpp"
+#include "dnn/random_gen.hpp"
 #include "hw/sim_engine.hpp"
+#include "obs/journal.hpp"
+#include "obs/metrics.hpp"
+#include "obs/residuals.hpp"
 #include "support/json_parser.hpp"
 
 #include <gtest/gtest.h>
@@ -216,6 +220,69 @@ TEST_F(ServerTest, CacheCountersAreDeterministic) {
     const ServeReport r = serve_with(ServePolicy::kPowerLens, workers);
     EXPECT_EQ(r.plan_cache_misses, models_->size()) << workers;
     EXPECT_EQ(r.plan_cache_hits, 12u - models_->size()) << workers;
+  }
+}
+
+// Cold-cache stress: every distinct graph misses once and is computed by
+// whichever worker takes that miss, concurrently with the other workers'
+// misses. Neither the assignment of misses to workers nor the join order
+// may show in any export.
+TEST_F(ServerTest, ColdMissesComputedByAnyWorkerExportIdentically) {
+  constexpr std::size_t kGraphs = 40;
+  constexpr std::size_t kRepeats = 3;
+  dnn::RandomDnnConfig gen_cfg;
+  gen_cfg.batch = kBatch;
+  gen_cfg.max_width = 256;
+  dnn::RandomDnnGenerator gen(/*seed=*/17, gen_cfg);
+  std::vector<DeployedModel> models;
+  for (std::size_t i = 0; i < kGraphs; ++i) {
+    dnn::Graph g = gen.generate();
+    std::string name = g.name();
+    models.push_back({std::move(name), std::move(g)});
+  }
+  // Each graph requested kRepeats times, interleaved: stride 17 is coprime
+  // to 40, so repeats of a graph are spread across the stream.
+  std::vector<Task> tasks(kGraphs * kRepeats);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].id = i;
+    tasks[i].model_index = (i * 17) % kGraphs;
+  }
+
+  // Re-registration returns the cache's own histogram; the placeholder
+  // bound only matters if this test registers it first.
+  constexpr double kAnyBound[] = {1.0};
+  const obs::Histogram& compute_ms = obs::global_metrics().histogram(
+      "powerlens_serve_plan_compute_ms", kAnyBound);
+
+  std::string reports[3];
+  std::string journals[3];
+  std::string residuals[3];
+  const std::size_t worker_counts[3] = {1, 4, 8};
+  for (std::size_t i = 0; i < 3; ++i) {
+    obs::Journal journal;
+    obs::Residuals res;
+    ServerConfig cfg;
+    cfg.num_workers = worker_counts[i];
+    cfg.journal = &journal;
+    cfg.residuals = &res;
+    Server server(*platform_, models, cfg, framework_);
+    const std::uint64_t computed_before = compute_ms.snapshot().count;
+    const ServeReport r = server.serve(tasks);
+    EXPECT_EQ(compute_ms.snapshot().count - computed_before, kGraphs)
+        << worker_counts[i] << " workers";
+    EXPECT_EQ(r.plan_cache_misses, kGraphs) << worker_counts[i] << " workers";
+    EXPECT_EQ(r.plan_cache_hits, kGraphs * (kRepeats - 1))
+        << worker_counts[i] << " workers";
+    std::ostringstream os;
+    r.write_json(os);
+    reports[i] = os.str();
+    journals[i] = journal.jsonl();
+    residuals[i] = res.json();
+  }
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(reports[0], reports[i]) << worker_counts[i] << " workers";
+    EXPECT_EQ(journals[0], journals[i]) << worker_counts[i] << " workers";
+    EXPECT_EQ(residuals[0], residuals[i]) << worker_counts[i] << " workers";
   }
 }
 
