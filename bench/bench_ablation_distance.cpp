@@ -17,10 +17,9 @@
 // the final plan's oracle energy on resnet152.
 #include "bench_common.hpp"
 
-#include "clustering/distance.hpp"
+#include "clustering/cluster.hpp"
 #include "dnn/builder.hpp"
 #include "features/depthwise.hpp"
-#include "linalg/stats.hpp"
 
 #include <cmath>
 
@@ -76,15 +75,19 @@ double boundary_recovery(const clustering::PowerView& view,
 clustering::PowerView cluster_with(const linalg::Matrix& features,
                                    clustering::FeatureMetric metric,
                                    bool scale) {
-  linalg::Matrix x = features;
-  if (scale) {
-    linalg::StandardScaler scaler;
-    x = scaler.fit_transform(features);
-  }
   clustering::DistanceParams params;
   params.metric = metric;
-  const linalg::Matrix dist = clustering::power_distance_matrix(x, params);
-  const std::vector<int> labels = clustering::dbscan(dist, {0.10, 3});
+  linalg::Workspace ws;
+  linalg::Matrix dist;
+  clustering::EpsAdjacency adj;
+  if (scale) {
+    clustering::power_distances_adj_into(features, params, 0.10, ws, dist,
+                                         adj);
+  } else {
+    clustering::power_distance_matrix_adj_into(features, params, 0.10, ws,
+                                               dist, adj);
+  }
+  const std::vector<int> labels = clustering::dbscan(adj, {0.10, 3});
   return clustering::process_clusters(labels, dist, {3});
 }
 

@@ -67,8 +67,12 @@ void BM_PowerDistanceMatrix(benchmark::State& state) {
   const linalg::Matrix feats =
       features::DepthwiseFeatureExtractor::extract(probe_graph());
   const clustering::DistanceParams params;
+  linalg::Workspace ws;
+  linalg::Matrix dist;
+  clustering::EpsAdjacency adj;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(clustering::power_distances_for(feats, params));
+    clustering::power_distances_adj_into(feats, params, 0.10, ws, dist, adj);
+    benchmark::DoNotOptimize(dist.data().data());
   }
 }
 BENCHMARK(BM_PowerDistanceMatrix);
@@ -76,11 +80,13 @@ BENCHMARK(BM_PowerDistanceMatrix);
 void BM_DbscanAndPostprocess(benchmark::State& state) {
   const linalg::Matrix feats =
       features::DepthwiseFeatureExtractor::extract(probe_graph());
-  const linalg::Matrix dist =
-      clustering::power_distances_for(feats, {});
+  linalg::Workspace ws;
+  linalg::Matrix dist;
+  clustering::EpsAdjacency adj;
+  clustering::power_distances_adj_into(feats, {}, 0.10, ws, dist, adj);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        clustering::build_power_view_from_distances(dist, {0.10, 3}));
+        clustering::build_power_view_from_adjacency(dist, adj, {0.10, 3}));
   }
 }
 BENCHMARK(BM_DbscanAndPostprocess);
@@ -238,43 +244,6 @@ std::vector<std::string> gemm_records() {
   return records;
 }
 
-std::vector<std::string> mahalanobis_records() {
-  std::vector<std::string> records;
-  const std::size_t d = features::kDepthwiseFeatureDim;
-  for (const std::size_t n : {64ul, 128ul, 256ul}) {
-    const linalg::Matrix x = random_matrix(n, d, 300 + n);
-    const linalg::Matrix fast = clustering::mahalanobis_distances(x);
-    const linalg::Matrix naive = clustering::mahalanobis_distances_naive(x);
-    if (linalg::Matrix::max_abs_diff(fast, naive) > 1e-8) {
-      throw std::runtime_error("mahalanobis: whitened path disagrees");
-    }
-    // The whitened side runs through the warmed-workspace entry point — the
-    // configuration every serve worker uses after its first plan.
-    linalg::Workspace ws;
-    linalg::Matrix pooled;
-    clustering::mahalanobis_distances_into(x, ws, pooled);
-    const int reps = n <= 128 ? 11 : 7;
-    const double naive_ms = best_of_ms(
-        [&] {
-          benchmark::DoNotOptimize(clustering::mahalanobis_distances_naive(x));
-        },
-        reps);
-    const double fast_ms = best_of_ms(
-        [&] { clustering::mahalanobis_distances_into(x, ws, pooled); }, reps);
-    records.push_back(obs::JsonWriter()
-                          .field("n", static_cast<double>(n))
-                          .field("d", static_cast<double>(d))
-                          .field("naive_ms", naive_ms)
-                          .field("whitened_ms", fast_ms)
-                          .field("speedup", naive_ms / fast_ms)
-                          .str());
-    std::printf(
-        "mahalanobis n=%3zu d=%zu  naive %8.3f ms  whitened %8.3f ms  %5.2fx\n",
-        n, d, naive_ms, fast_ms, naive_ms / fast_ms);
-  }
-  return records;
-}
-
 std::string trainer_record() {
   // Inner-loop pairing: one dense forward + backward at the trainer's hidden
   // shapes (batch 64, 64 -> 64), naive loops (with the legacy go == 0 skip
@@ -397,9 +366,9 @@ double calib_gemm_ms() {
 
 std::string plan_compute_record(core::PowerLens& framework,
                                 const std::vector<dnn::Graph>& graphs) {
-  // Plan-cache-miss latency: PowerLens::optimize with heap-allocated
-  // temporaries (ws == nullptr) vs a warmed per-worker Workspace — the
-  // serving layer's configuration after this change.
+  // Plan-cache-miss latency: PowerLens::optimize with a call-local
+  // workspace (ws == nullptr, so every buffer is allocated fresh) vs a
+  // warmed per-worker Workspace — the serving layer's configuration.
   linalg::Workspace ws;
   for (const dnn::Graph& g : graphs) {
     if (!(framework.optimize(g) == framework.optimize(g, &ws))) {
@@ -416,9 +385,9 @@ std::string plan_compute_record(core::PowerLens& framework,
                9) /
            static_cast<double>(graphs.size());
   };
-  // The offline batch API: all graphs planned through one optimize_batch
-  // call (shared eigendecomposition sweeps). Cross-check first — batching
-  // must never change a plan.
+  // optimize_batch over all graphs: the same single plan path looped with
+  // one warmed workspace (batched_ms_per_plan keeps its name for the CI
+  // budget). Cross-check first — it must never change a plan.
   std::vector<const dnn::Graph*> graph_ptrs;
   for (const dnn::Graph& g : graphs) graph_ptrs.push_back(&g);
   {
@@ -538,8 +507,6 @@ int run_kernels_harness(const std::string& path) {
   try {
     std::string out = "{\n";
     append_record_array(out, "gemm", gemm_records());
-    out += ",\n";
-    append_record_array(out, "mahalanobis", mahalanobis_records());
     out += ",\n  \"trainer\": " + trainer_record();
     // plan_compute and plan_phases share one trained framework; training it
     // dominates harness wall-clock, the timed loops do not.

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <deque>
+#include <limits>
 #include <stdexcept>
 
 namespace powerlens::clustering {
@@ -12,6 +13,27 @@ void check_params(const DbscanParams& params) {
   if (params.eps <= 0.0 || params.min_pts == 0) {
     throw std::invalid_argument("dbscan: eps must be > 0 and min_pts >= 1");
   }
+}
+
+// CSR skeleton from per-row degrees: offsets filled, neighbors sized.
+// Offsets are 32-bit, so a total past UINT32_MAX (reachable from n ≥ 65536
+// with dense neighbourhoods) throws instead of wrapping into an undersized
+// neighbor array.
+EpsAdjacency with_offsets(std::size_t n, const std::size_t* degree) {
+  constexpr std::size_t kMaxOffset = std::numeric_limits<std::uint32_t>::max();
+  EpsAdjacency adj;
+  adj.n = n;
+  adj.offsets.assign(n + 1, 0);
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (degree[i] > kMaxOffset - total) {
+      throw std::length_error("EpsAdjacency: neighbor count exceeds 2^32 - 1");
+    }
+    total += degree[i];
+    adj.offsets[i + 1] = static_cast<std::uint32_t>(total);
+  }
+  adj.neighbors.resize(total);
+  return adj;
 }
 
 }  // namespace
@@ -25,22 +47,27 @@ EpsAdjacency EpsAdjacency::from_distances(const linalg::Matrix& distances,
   if (eps <= 0.0) {
     throw std::invalid_argument("EpsAdjacency: eps must be > 0");
   }
+  // Pair (i, j) with j <= i lands in row i (ascending j) and, off the
+  // diagonal, in row j — appended when row-major order reaches row i, after
+  // every lower entry of row j, so each row stays ascending.
   const std::size_t n = distances.rows();
-  EpsAdjacency adj;
-  adj.n = n;
-  adj.offsets.assign(n + 1, 0);
+  std::vector<std::size_t> degree(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t deg = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      deg += distances(i, j) <= eps ? 1u : 0u;
+    for (std::size_t j = 0; j <= i; ++j) {
+      if (distances(i, j) <= eps) {
+        ++degree[i];
+        if (j != i) ++degree[j];
+      }
     }
-    adj.offsets[i + 1] = adj.offsets[i] + deg;
   }
-  adj.neighbors.resize(adj.offsets[n]);
+  EpsAdjacency adj = with_offsets(n, degree.data());
+  std::vector<std::uint32_t> fill(adj.offsets.begin(), adj.offsets.end() - 1);
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t* out = adj.neighbors.data() + adj.offsets[i];
-    for (std::size_t j = 0; j < n; ++j) {
-      if (distances(i, j) <= eps) *out++ = static_cast<std::uint32_t>(j);
+    for (std::size_t j = 0; j <= i; ++j) {
+      if (distances(i, j) <= eps) {
+        adj.neighbors[fill[i]++] = static_cast<std::uint32_t>(j);
+        if (j != i) adj.neighbors[fill[j]++] = static_cast<std::uint32_t>(i);
+      }
     }
   }
   return adj;
@@ -50,14 +77,7 @@ EpsAdjacency EpsAdjacency::from_bitmap(std::size_t n,
                                        const std::uint64_t* bits,
                                        std::size_t words,
                                        const std::size_t* degree) {
-  EpsAdjacency adj;
-  adj.n = n;
-  adj.offsets.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    adj.offsets[i + 1] =
-        adj.offsets[i] + static_cast<std::uint32_t>(degree[i]);
-  }
-  adj.neighbors.resize(adj.offsets[n]);
+  EpsAdjacency adj = with_offsets(n, degree);
   for (std::size_t i = 0; i < n; ++i) {
     std::uint32_t* out = adj.neighbors.data() + adj.offsets[i];
     const std::uint64_t* row = bits + i * words;
@@ -138,51 +158,6 @@ std::vector<int> dbscan(const linalg::Matrix& distances,
   }
   check_params(params);
   return dbscan(EpsAdjacency::from_distances(distances, params.eps), params);
-}
-
-std::vector<int> dbscan_reference(const linalg::Matrix& distances,
-                                  const DbscanParams& params) {
-  if (!distances.square() || distances.rows() == 0) {
-    throw std::invalid_argument("dbscan: distance matrix must be square");
-  }
-  check_params(params);
-  const std::size_t n = distances.rows();
-
-  auto neighbors = [&](std::size_t i) {
-    std::vector<std::size_t> out;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (distances(i, j) <= params.eps) out.push_back(j);  // includes i
-    }
-    return out;
-  };
-
-  constexpr int kUnvisited = -2;
-  std::vector<int> labels(n, kUnvisited);
-  int next_cluster = 0;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (labels[i] != kUnvisited) continue;
-    std::vector<std::size_t> nbrs = neighbors(i);
-    if (nbrs.size() < params.min_pts) {
-      labels[i] = kNoise;
-      continue;
-    }
-    const int cluster = next_cluster++;
-    labels[i] = cluster;
-    std::deque<std::size_t> frontier(nbrs.begin(), nbrs.end());
-    while (!frontier.empty()) {
-      const std::size_t q = frontier.front();
-      frontier.pop_front();
-      if (labels[q] == kNoise) labels[q] = cluster;  // border point
-      if (labels[q] != kUnvisited) continue;
-      labels[q] = cluster;
-      const std::vector<std::size_t> q_nbrs = neighbors(q);
-      if (q_nbrs.size() >= params.min_pts) {
-        frontier.insert(frontier.end(), q_nbrs.begin(), q_nbrs.end());
-      }
-    }
-  }
-  return labels;
 }
 
 }  // namespace powerlens::clustering

@@ -1,13 +1,13 @@
 // DBSCAN over a precomputed distance matrix (Algorithm 1, line 13).
 //
-// Since PR 10 the production path runs over an ε-threshold CSR adjacency
-// built in ONE pass over the distance matrix (or fused into the distance
-// blend sweep — see clustering/distance.hpp), replacing the per-point O(n)
-// neighbor rescans of the dense implementation. Expansion order is
-// unchanged — seeds ascend, the frontier is FIFO over first insertions, and
-// CSR rows list neighbors in ascending index — so labels are identical to
-// the dense-matrix implementation, which is kept as dbscan_reference() and
-// property-tested against the CSR path.
+// DBSCAN runs over an ε-threshold CSR adjacency: emitted by the distance
+// pipeline's own sweeps (clustering/distance.hpp) on the plan path, or
+// built in one lower-triangle pass over a distance matrix for
+// hyperparameter sweeps. Expansion order matches the classic dense
+// implementation — seeds ascend, the frontier is FIFO over first
+// insertions, and CSR rows list neighbors in ascending index — so labels
+// are identical to it; that implementation is the test oracle
+// dbscan_reference (tests/support/distance_oracles.hpp).
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -41,38 +41,36 @@ struct EpsAdjacency {
     return neighbors.data() + offsets[i];
   }
 
-  // One full scan of a symmetric distance matrix — the path for
-  // hyperparameter sweeps where eps is not known when the matrix is built.
-  // Throws std::invalid_argument on a non-square/empty matrix or eps <= 0.
+  // One row-major pass over the LOWER triangle (diagonal included) of a
+  // symmetric distance matrix — the path for hyperparameter sweeps where
+  // eps is not known when the matrix is built. The upper triangle is never
+  // read, so the distance pipeline's triangular output is valid input.
+  // Throws std::invalid_argument on a non-square/empty matrix or eps <= 0,
+  // std::length_error when the neighbor count overflows the 32-bit offsets.
   static EpsAdjacency from_distances(const linalg::Matrix& distances,
                                      double eps);
-  // Assembly from the packed per-row bitmaps the fused blend kernel emits
-  // (kernels::dist_blend_adj): bits[i*words + w] bit b set means j =
-  // 64*w + b is a neighbor of i. Scanning words ascending yields ascending
-  // neighbor order for free.
+  // Assembly from the packed per-row bitmaps the fused blend kernels emit
+  // (kernels::dist_blend_adj / gram_blend_adj): bits[i*words + w] bit b set
+  // means j = 64*w + b is a neighbor of i. Scanning words ascending yields
+  // ascending neighbor order for free. Throws std::length_error when the
+  // summed degrees overflow the 32-bit offsets.
   static EpsAdjacency from_bitmap(std::size_t n, const std::uint64_t* bits,
                                   std::size_t words,
                                   const std::size_t* degree);
 };
 
 // Returns one label per row of `distances`: 0..k-1 for cluster membership,
-// kNoise for noise points. The distance matrix must be square and symmetric.
+// kNoise for noise points. The distance matrix must be square and symmetric
+// (only its lower triangle is read).
 // Throws std::invalid_argument on a malformed matrix or eps <= 0 /
 // min_pts == 0. Implemented as from_distances + the CSR overload below.
 std::vector<int> dbscan(const linalg::Matrix& distances,
                         const DbscanParams& params);
 
 // CSR fast path: the adjacency already encodes eps, so only min_pts is
-// read from `params`. Labels are identical to dbscan_reference on the
+// read from `params`. Labels are identical to the dense reference on the
 // matrix the adjacency was built from (property-tested).
 std::vector<int> dbscan(const EpsAdjacency& adjacency,
                         const DbscanParams& params);
-
-// The pre-PR-10 dense-matrix implementation, kept verbatim as the label
-// oracle for equivalence tests. O(n) neighbor rescans per expansion and a
-// frontier that re-enqueues already-labeled points — do not use on hot
-// paths.
-std::vector<int> dbscan_reference(const linalg::Matrix& distances,
-                                  const DbscanParams& params);
 
 }  // namespace powerlens::clustering

@@ -14,7 +14,7 @@ namespace powerlens::clustering {
 
 namespace {
 
-// Per-offset spacing-penalty table shared by every blend entry point:
+// Per-offset spacing-penalty table shared by both blend tails:
 // penalty[t] = 1 - exp(-lambda * t), penalty[0] = 0.
 void fill_penalty(double lambda, std::size_t n, linalg::Matrix& penalty) {
   penalty(0, 0) = 0.0;
@@ -23,42 +23,93 @@ void fill_penalty(double lambda, std::size_t n, linalg::Matrix& penalty) {
   }
 }
 
-// The fused triangular Mahalanobis adjacency tail: whitened projection,
-// lower-triangle Gram, max prepass, then ONE blended-lower + ε-bitmap
-// sweep. `out` gets the lower triangle + zero diagonal (upper unspecified);
-// every written element is bitwise identical to the full-matrix pipeline
-// (gram_to_dist_max + dist_blend_adj), which this path replaces on the hot
-// plan-compute route — the mirror half cost n²/2 strided writes plus a
-// full extra matrix pass and fed nothing but symmetric re-reads.
-void mahalanobis_blend_adj_lower_into(const linalg::Matrix& x,
-                                      const linalg::Matrix& w,
-                                      const DistanceParams& params, double eps,
-                                      linalg::Workspace& ws,
-                                      linalg::Matrix& out, EpsAdjacency& adj) {
+// Full-matrix normalize-and-blend + ε-bitmap over the raw feature
+// distances in `out`, whose maximum is `max_d`: the tail of the Euclidean
+// path and of the zero-covariance Mahalanobis case (an all-zero matrix).
+void blend_full_adj(const DistanceParams& params, double max_d, double eps,
+                    linalg::Workspace& ws, linalg::Matrix& out,
+                    EpsAdjacency& adj) {
+  const std::size_t n = out.rows();
+  const double inv_max = max_d > 0.0 ? 1.0 / max_d : 1.0;
+  linalg::Workspace::Lease penalty = ws.lease_uninit(1, n);
+  fill_penalty(params.lambda, n, *penalty);
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> bits(n * words);
+  std::vector<std::size_t> degree(n);
+  linalg::kernels::dist_blend_adj(n, params.alpha, inv_max, 1.0 - params.alpha,
+                                  penalty->data().data(), out.data().data(), n,
+                                  eps, bits.data(), words, degree.data());
+  adj = EpsAdjacency::from_bitmap(n, bits.data(), words, degree.data());
+}
+
+// Pairwise Euclidean distances between rows (the ablation comparator),
+// each pair computed once and mirrored.
+void euclidean_distances_into(const linalg::Matrix& x, linalg::Matrix& dist) {
+  const std::size_t n = x.rows();
+  dist.reshape(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < x.cols(); ++k) {
+        const double d = x(i, k) - x(j, k);
+        acc += d * d;
+      }
+      const double dd = std::sqrt(acc);
+      dist(i, j) = dd;
+      dist(j, i) = dd;
+    }
+  }
+}
+
+}  // namespace
+
+void power_distance_matrix_adj_into(const linalg::Matrix& x,
+                                    const DistanceParams& params, double eps,
+                                    linalg::Workspace& ws, linalg::Matrix& out,
+                                    EpsAdjacency& adj) {
+  if (params.alpha < 0.0 || params.alpha > 1.0) {
+    throw std::invalid_argument("power_distance_matrix: alpha outside [0,1]");
+  }
   if (eps <= 0.0) {
-    throw std::invalid_argument("power_distance_blend_adj: eps must be > 0");
+    throw std::invalid_argument("power_distance_matrix: eps must be > 0");
   }
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
   if (n == 0 || d == 0) {
-    throw std::invalid_argument("mahalanobis_distances: empty feature table");
+    throw std::invalid_argument("power_distance_matrix: empty feature table");
   }
-  if (w.cols() != d) {
-    throw std::invalid_argument(
-        "mahalanobis_from_whitening: factor width does not match features");
+
+  if (params.metric == FeatureMetric::kEuclidean) {
+    euclidean_distances_into(x, out);
+    double max_d = 0.0;
+    for (const double v : out.data()) max_d = std::max(max_d, v);
+    blend_full_adj(params, max_d, eps, ws, out, adj);
+    return;
+  }
+
+  // P = Wᵀ W; d²(i,j) = ‖W(xᵢ − xⱼ)‖² = ‖yᵢ − yⱼ‖² with Y = X Wᵀ. The mean
+  // never needs subtracting — it cancels in the row differences.
+  linalg::Matrix w;
+  {
+    linalg::Workspace::Lease cov = ws.lease(d, d);
+    linalg::covariance_into(x, *cov);
+    w = linalg::whitening_factor_spd(*cov);
   }
   const std::size_t k = w.rows();
   if (k == 0) {
-    // Zero covariance: every pairwise feature distance is 0. Reproduce the
-    // full pipeline exactly — a zero matrix through the dense blend.
+    // Zero covariance: every pairwise feature distance is 0.
     out.reshape(n, n);
-    power_distance_blend_adj_into(params, 0.0, eps, ws, out, adj);
+    blend_full_adj(params, 0.0, eps, ws, out, adj);
     return;
   }
 
   linalg::Workspace::Lease y = ws.lease_uninit(n, k);
   linalg::kernels::gemm_nt(n, k, d, x.data().data(), d, w.data().data(), d,
                            y->data().data(), k);
+  // Lower Gram triangle only (each entry one fused multiply-add chain — see
+  // syrk_nt's contract), then a max prepass straight out of the Gram
+  // matrix, then ONE sweep writing the blended lower triangle + zero
+  // diagonal and the symmetric ε-bitmap. The mirror half is never computed.
   linalg::Workspace::Lease gram = ws.lease_uninit(n, n);
   {
     linalg::Workspace::Lease at = ws.lease_uninit(k, n);  // syrk Aᵀ scratch
@@ -82,358 +133,6 @@ void mahalanobis_blend_adj_lower_into(const linalg::Matrix& x,
       1.0 - params.alpha, penalty->data().data(), out.data().data(), n, eps,
       bits.data(), words, degree.data());
   adj = EpsAdjacency::from_bitmap(n, bits.data(), words, degree.data());
-}
-
-}  // namespace
-
-void mahalanobis_from_whitening_into(const linalg::Matrix& x,
-                                     const linalg::Matrix& w,
-                                     linalg::Workspace& ws,
-                                     linalg::Matrix& dist) {
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
-  if (n == 0 || d == 0) {
-    throw std::invalid_argument("mahalanobis_distances: empty feature table");
-  }
-  if (w.cols() != d) {
-    throw std::invalid_argument(
-        "mahalanobis_from_whitening: factor width does not match features");
-  }
-  const std::size_t k = w.rows();
-
-  dist.reshape(n, n);
-  if (k == 0) return;  // zero covariance: all rows identical under P
-
-  // P = Wᵀ W; d²(i,j) = ‖W(xᵢ − xⱼ)‖² = ‖yᵢ − yⱼ‖² with Y = X Wᵀ. The mean
-  // never needs subtracting — it cancels in the row differences.
-  linalg::Workspace::Lease y = ws.lease(n, k);
-  linalg::kernels::gemm_nt(n, k, d, x.data().data(), d, w.data().data(), d,
-                           y->data().data(), k);
-  // Only the lower Gram triangle is materialized (each entry one fused
-  // multiply-add chain — see syrk_nt's contract), and the sqrt epilogue
-  // runs inside the kernel layer so it vectorizes; the epilogue itself is
-  // bitwise the classic sqrt(max(nᵢ + nⱼ - 2·g, 0)) mirror loop.
-  linalg::Workspace::Lease gram = ws.lease(n, n);
-  {
-    linalg::Workspace::Lease at = ws.lease_uninit(k, n);  // syrk Aᵀ scratch
-    linalg::kernels::syrk_nt(n, k, y->data().data(), k, at->data().data(),
-                             gram->data().data(), n);
-  }
-  linalg::Workspace::Lease norms = ws.lease(1, n);
-  linalg::kernels::gram_to_dist(n, gram->data().data(), n, dist.data().data(),
-                                n, norms->data().data());
-}
-
-void mahalanobis_from_whitening_max_into(const linalg::Matrix& x,
-                                         const linalg::Matrix& w,
-                                         linalg::Workspace& ws,
-                                         linalg::Matrix& dist,
-                                         double& max_out) {
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
-  if (n == 0 || d == 0) {
-    throw std::invalid_argument("mahalanobis_distances: empty feature table");
-  }
-  if (w.cols() != d) {
-    throw std::invalid_argument(
-        "mahalanobis_from_whitening: factor width does not match features");
-  }
-  const std::size_t k = w.rows();
-
-  dist.reshape(n, n);
-  max_out = 0.0;
-  if (k == 0) return;  // zero covariance: dist is all zeros, max is 0
-
-  linalg::Workspace::Lease y = ws.lease(n, k);
-  linalg::kernels::gemm_nt(n, k, d, x.data().data(), d, w.data().data(), d,
-                           y->data().data(), k);
-  linalg::Workspace::Lease gram = ws.lease(n, n);
-  {
-    linalg::Workspace::Lease at = ws.lease_uninit(k, n);  // syrk Aᵀ scratch
-    linalg::kernels::syrk_nt(n, k, y->data().data(), k, at->data().data(),
-                             gram->data().data(), n);
-  }
-  linalg::Workspace::Lease norms = ws.lease(1, n);
-  // Same kernel sweep as gram_to_dist plus a per-row running max over the
-  // lower triangle; symmetry + zero diagonal make that the full-matrix max.
-  linalg::kernels::gram_to_dist_max(n, gram->data().data(), n,
-                                    dist.data().data(), n,
-                                    norms->data().data(), &max_out);
-}
-
-void mahalanobis_distances_into(const linalg::Matrix& x,
-                                linalg::Workspace& ws, linalg::Matrix& dist) {
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
-  if (n == 0 || d == 0) {
-    throw std::invalid_argument("mahalanobis_distances: empty feature table");
-  }
-  linalg::Workspace::Lease cov = ws.lease(d, d);
-  linalg::covariance_into(x, *cov);
-  const linalg::Matrix w = linalg::whitening_factor_spd(*cov);
-  mahalanobis_from_whitening_into(x, w, ws, dist);
-}
-
-linalg::Matrix mahalanobis_distances(const linalg::Matrix& x) {
-  linalg::Workspace ws;
-  linalg::Matrix dist;
-  mahalanobis_distances_into(x, ws, dist);
-  return dist;
-}
-
-linalg::Matrix mahalanobis_distances_naive(const linalg::Matrix& x) {
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
-  if (n == 0 || d == 0) {
-    throw std::invalid_argument("mahalanobis_distances: empty feature table");
-  }
-  const linalg::Matrix cov = linalg::covariance(x);
-  const linalg::Matrix p = linalg::pseudo_inverse_spd(cov);
-
-  linalg::Matrix dist(n, n);
-  std::vector<double> diff(d);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      for (std::size_t k = 0; k < d; ++k) diff[k] = x(i, k) - x(j, k);
-      // d^2 = diff^T P diff
-      double acc = 0.0;
-      for (std::size_t r = 0; r < d; ++r) {
-        if (diff[r] == 0.0) continue;
-        double row = 0.0;
-        for (std::size_t c = 0; c < d; ++c) row += p(r, c) * diff[c];
-        acc += diff[r] * row;
-      }
-      const double dd = std::sqrt(std::max(acc, 0.0));
-      dist(i, j) = dd;
-      dist(j, i) = dd;
-    }
-  }
-  return dist;
-}
-
-void euclidean_distances_into(const linalg::Matrix& x, linalg::Matrix& dist) {
-  const std::size_t n = x.rows();
-  if (n == 0 || x.cols() == 0) {
-    throw std::invalid_argument("euclidean_distances: empty feature table");
-  }
-  dist.reshape(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < x.cols(); ++k) {
-        const double d = x(i, k) - x(j, k);
-        acc += d * d;
-      }
-      const double dd = std::sqrt(acc);
-      dist(i, j) = dd;
-      dist(j, i) = dd;
-    }
-  }
-}
-
-linalg::Matrix euclidean_distances(const linalg::Matrix& x) {
-  linalg::Matrix dist;
-  euclidean_distances_into(x, dist);
-  return dist;
-}
-
-linalg::Matrix spacing_penalty(std::size_t n, double lambda) {
-  if (n == 0 || lambda < 0.0) {
-    throw std::invalid_argument("spacing_penalty: bad arguments");
-  }
-  linalg::Matrix r(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double v =
-          1.0 - std::exp(-lambda * static_cast<double>(j - i));
-      r(i, j) = v;
-      r(j, i) = v;
-    }
-  }
-  return r;
-}
-
-void power_distance_blend_into(const DistanceParams& params,
-                               linalg::Workspace& ws, linalg::Matrix& out) {
-  const std::size_t n = out.rows();
-
-  // Normalize the feature distance to [0, 1] so alpha weighs two
-  // commensurate terms regardless of feature dimensionality.
-  double max_d = 0.0;
-  for (const double v : out.data()) max_d = std::max(max_d, v);
-  const double inv_max = max_d > 0.0 ? 1.0 / max_d : 1.0;
-
-  // The spacing penalty depends only on |i - j|: one exp per offset, then a
-  // single fused normalize-and-blend kernel pass over the one output matrix
-  // (previously: three n x n matrices and a separate max-scan).
-  linalg::Workspace::Lease penalty = ws.lease_uninit(1, n);
-  fill_penalty(params.lambda, n, *penalty);
-  linalg::kernels::dist_blend(n, params.alpha, inv_max, 1.0 - params.alpha,
-                              penalty->data().data(), out.data().data(), n);
-}
-
-void power_distance_blend_adj_into(const DistanceParams& params, double max_d,
-                                   double eps, linalg::Workspace& ws,
-                                   linalg::Matrix& out, EpsAdjacency& adj) {
-  if (eps <= 0.0) {
-    throw std::invalid_argument("power_distance_blend_adj: eps must be > 0");
-  }
-  const std::size_t n = out.rows();
-  const double inv_max = max_d > 0.0 ? 1.0 / max_d : 1.0;
-
-  linalg::Workspace::Lease penalty = ws.lease_uninit(1, n);
-  fill_penalty(params.lambda, n, *penalty);
-  // Same blend arithmetic as power_distance_blend_into; the kernel's row
-  // epilogue additionally packs every entry <= eps into a neighbor bitmap,
-  // so the ε-adjacency costs no second pass over the matrix.
-  const std::size_t words = (n + 63) / 64;
-  std::vector<std::uint64_t> bits(n * words);
-  std::vector<std::size_t> degree(n);
-  linalg::kernels::dist_blend_adj(n, params.alpha, inv_max, 1.0 - params.alpha,
-                                  penalty->data().data(), out.data().data(), n,
-                                  eps, bits.data(), words, degree.data());
-  adj = EpsAdjacency::from_bitmap(n, bits.data(), words, degree.data());
-}
-
-void power_distance_matrix_adj_into(const linalg::Matrix& scaled_features,
-                                    const DistanceParams& params, double eps,
-                                    linalg::Workspace& ws, linalg::Matrix& out,
-                                    EpsAdjacency& adj) {
-  if (params.alpha < 0.0 || params.alpha > 1.0) {
-    throw std::invalid_argument("power_distance_matrix: alpha outside [0,1]");
-  }
-  if (params.metric == FeatureMetric::kMahalanobis) {
-    const std::size_t d = scaled_features.cols();
-    if (scaled_features.rows() == 0 || d == 0) {
-      throw std::invalid_argument(
-          "mahalanobis_distances: empty feature table");
-    }
-    linalg::Workspace::Lease cov = ws.lease(d, d);
-    linalg::covariance_into(scaled_features, *cov);
-    const linalg::Matrix w = linalg::whitening_factor_spd(*cov);
-    // Triangular fused tail: no intermediate distance matrix, no mirror
-    // writes — the blended lower half + symmetric ε-bitmap in one sweep.
-    mahalanobis_blend_adj_lower_into(scaled_features, w, params, eps, ws, out,
-                                     adj);
-  } else {
-    double max_d = 0.0;
-    euclidean_distances_into(scaled_features, out);
-    for (const double v : out.data()) max_d = std::max(max_d, v);
-    power_distance_blend_adj_into(params, max_d, eps, ws, out, adj);
-  }
-}
-
-void power_distance_matrix_into(const linalg::Matrix& scaled_features,
-                                const DistanceParams& params,
-                                linalg::Workspace& ws, linalg::Matrix& out) {
-  if (params.alpha < 0.0 || params.alpha > 1.0) {
-    throw std::invalid_argument("power_distance_matrix: alpha outside [0,1]");
-  }
-  if (params.metric == FeatureMetric::kMahalanobis) {
-    mahalanobis_distances_into(scaled_features, ws, out);
-  } else {
-    euclidean_distances_into(scaled_features, out);
-  }
-  power_distance_blend_into(params, ws, out);
-}
-
-void power_distance_matrix_batch_into(
-    std::span<const linalg::Matrix* const> tables,
-    const DistanceParams& params, linalg::Workspace& ws,
-    std::span<linalg::Matrix* const> dists) {
-  if (tables.size() != dists.size()) {
-    throw std::invalid_argument(
-        "power_distance_matrix_batch: tables/dists size mismatch");
-  }
-  if (params.alpha < 0.0 || params.alpha > 1.0) {
-    throw std::invalid_argument("power_distance_matrix: alpha outside [0,1]");
-  }
-  if (tables.empty()) return;
-
-  if (params.metric != FeatureMetric::kMahalanobis) {
-    for (std::size_t i = 0; i < tables.size(); ++i) {
-      euclidean_distances_into(*tables[i], *dists[i]);
-      power_distance_blend_into(params, ws, *dists[i]);
-    }
-    return;
-  }
-
-  // One covariance per table, then ONE shared eigendecomposition batch —
-  // the per-table arithmetic is exactly the serial path's, so each output
-  // matrix is bitwise identical to power_distance_matrix_into on its table.
-  std::vector<linalg::Workspace::Lease> covs;
-  covs.reserve(tables.size());
-  std::vector<const linalg::Matrix*> cov_ptrs;
-  cov_ptrs.reserve(tables.size());
-  for (const linalg::Matrix* x : tables) {
-    if (x->rows() == 0 || x->cols() == 0) {
-      throw std::invalid_argument(
-          "mahalanobis_distances: empty feature table");
-    }
-    covs.push_back(ws.lease(x->cols(), x->cols()));
-    linalg::covariance_into(*x, *covs.back());
-    cov_ptrs.push_back(&*covs.back());
-  }
-  const std::vector<linalg::Matrix> factors =
-      linalg::batched_whitening(cov_ptrs);
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    mahalanobis_from_whitening_into(*tables[i], factors[i], ws, *dists[i]);
-    power_distance_blend_into(params, ws, *dists[i]);
-  }
-}
-
-void power_distance_matrix_adj_batch_into(
-    std::span<const linalg::Matrix* const> tables,
-    const DistanceParams& params, std::span<const double> eps,
-    linalg::Workspace& ws, std::span<linalg::Matrix* const> dists,
-    std::span<EpsAdjacency* const> adjs) {
-  if (tables.size() != dists.size() || tables.size() != eps.size() ||
-      tables.size() != adjs.size()) {
-    throw std::invalid_argument(
-        "power_distance_matrix_adj_batch: span size mismatch");
-  }
-  if (params.alpha < 0.0 || params.alpha > 1.0) {
-    throw std::invalid_argument("power_distance_matrix: alpha outside [0,1]");
-  }
-  if (tables.empty()) return;
-
-  if (params.metric != FeatureMetric::kMahalanobis) {
-    for (std::size_t i = 0; i < tables.size(); ++i) {
-      power_distance_matrix_adj_into(*tables[i], params, eps[i], ws,
-                                     *dists[i], *adjs[i]);
-    }
-    return;
-  }
-
-  // Identical batching structure to power_distance_matrix_batch_into (one
-  // shared eigendecomposition batch), with the fused max + adjacency tail.
-  std::vector<linalg::Workspace::Lease> covs;
-  covs.reserve(tables.size());
-  std::vector<const linalg::Matrix*> cov_ptrs;
-  cov_ptrs.reserve(tables.size());
-  for (const linalg::Matrix* x : tables) {
-    if (x->rows() == 0 || x->cols() == 0) {
-      throw std::invalid_argument(
-          "mahalanobis_distances: empty feature table");
-    }
-    covs.push_back(ws.lease(x->cols(), x->cols()));
-    linalg::covariance_into(*x, *covs.back());
-    cov_ptrs.push_back(&*covs.back());
-  }
-  const std::vector<linalg::Matrix> factors =
-      linalg::batched_whitening(cov_ptrs);
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    mahalanobis_blend_adj_lower_into(*tables[i], factors[i], params, eps[i],
-                                     ws, *dists[i], *adjs[i]);
-  }
-}
-
-linalg::Matrix power_distance_matrix(const linalg::Matrix& scaled_features,
-                                     const DistanceParams& params) {
-  linalg::Workspace ws;
-  linalg::Matrix out;
-  power_distance_matrix_into(scaled_features, params, ws, out);
-  return out;
 }
 
 }  // namespace powerlens::clustering

@@ -228,10 +228,20 @@ GridSweep sweep_hyperparam_grid(const linalg::Matrix& distances,
   return sweep;
 }
 
+// The network's power distances, computed once for the whole grid sweep
+// (they do not depend on eps or min_pts). The matrix is TRIANGULAR — lower
+// half + zero diagonal, upper half unspecified — which is all DBSCAN and
+// post-processing read. The pipeline also emits an ε-adjacency at the
+// first grid eps; each grid point rebuilds its own from the matrix.
 linalg::Matrix network_distances(const dnn::Graph& graph,
                                  const DatasetGenConfig& config) {
-  return clustering::power_distances_for(
-      features::DepthwiseFeatureExtractor::extract(graph), config.distance);
+  linalg::Workspace ws;
+  linalg::Matrix dist;
+  clustering::EpsAdjacency adj;
+  clustering::power_distances_adj_into(
+      features::DepthwiseFeatureExtractor::extract(graph), config.distance,
+      config.grid.at(0).eps, ws, dist, adj);
+  return dist;
 }
 
 }  // namespace

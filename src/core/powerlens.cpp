@@ -18,12 +18,6 @@ namespace powerlens::core {
 
 namespace {
 
-linalg::Matrix row_matrix(const std::vector<double>& v) {
-  linalg::Matrix m(1, v.size());
-  for (std::size_t c = 0; c < v.size(); ++c) m(0, c) = v[c];
-  return m;
-}
-
 // Wall-clock phase timer feeding a powerlens_plan_phase_*_ms histogram on
 // destruction. Callers hoist the histogram reference into a function-local
 // static so the hot path never touches the registry mutex.
@@ -128,18 +122,13 @@ int PredictionModel::predict(const features::GlobalFeatures& features,
   if (!trained()) {
     throw std::logic_error("PredictionModel: predict before fit");
   }
-  if (ws == nullptr) {
-    const linalg::Matrix xs =
-        scaler_structural_.transform(row_matrix(features.structural));
-    const linalg::Matrix xt =
-        scaler_statistics_.transform(row_matrix(features.statistics));
-    return mlp_->predict(xs, xt).front();
-  }
-  // Workspace path: lease the two feature rows, scale them in place
-  // (transform_into is elementwise, so aliasing input and output is fine),
-  // and run the single-sample MLP forward on leased activations.
-  linalg::Workspace::Lease xs = ws->lease(1, features.structural.size());
-  linalg::Workspace::Lease xt = ws->lease(1, features.statistics.size());
+  // Lease the two feature rows, scale them in place (transform_into is
+  // elementwise, so aliasing input and output is fine), and run the
+  // single-sample MLP forward on leased activations.
+  linalg::Workspace local_ws;
+  linalg::Workspace& w = ws != nullptr ? *ws : local_ws;
+  linalg::Workspace::Lease xs = w.lease(1, features.structural.size());
+  linalg::Workspace::Lease xt = w.lease(1, features.statistics.size());
   for (std::size_t c = 0; c < features.structural.size(); ++c) {
     (*xs)(0, c) = features.structural[c];
   }
@@ -148,7 +137,7 @@ int PredictionModel::predict(const features::GlobalFeatures& features,
   }
   scaler_structural_.transform_into(*xs, *xs);
   scaler_statistics_.transform_into(*xt, *xt);
-  return mlp_->predict_one(*xs, *xt, *ws);
+  return mlp_->predict_one(*xs, *xt, w);
 }
 
 void PredictionModel::save(std::ostream& os) const {
@@ -291,6 +280,12 @@ OptimizationPlan PowerLens::optimize(const dnn::Graph& graph,
       tw, "powerlens_optimize", "pipeline",
       {obs::TraceArg::num("layers", static_cast<double>(graph.size()))});
 
+  // Every dense temporary below comes from one workspace; a call-local one
+  // stands in when the caller passed none (buffer provenance never changes
+  // values).
+  linalg::Workspace local_ws;
+  linalg::Workspace& plan_ws = ws != nullptr ? *ws : local_ws;
+
   // Step 1: predict clustering hyperparameters from global features.
   int cls = 0;
   {
@@ -298,7 +293,7 @@ OptimizationPlan PowerLens::optimize(const dnn::Graph& graph,
     PhaseTimer timer(phase_predict_hist());
     const features::GlobalFeatures net_features =
         features::GlobalFeatureExtractor::extract(graph);
-    cls = hyper_model_.predict(net_features, ws);
+    cls = hyper_model_.predict(net_features, &plan_ws);
   }
   const clustering::ClusteringHyperparams hp =
       config_.dataset.grid.at(static_cast<std::size_t>(cls));
@@ -311,13 +306,7 @@ OptimizationPlan PowerLens::optimize(const dnn::Graph& graph,
   // powerlens_plan_phase_*_ms histogram. eps is already predicted here, so
   // the distance pipeline emits the ε-adjacency inside its own sweeps and
   // DBSCAN runs on CSR neighbor lists — same labels, same view, no matrix
-  // rescans. A local workspace stands in when the caller passed none
-  // (buffer provenance never changes values).
-  clustering::ClusteringConfig cc;
-  cc.hyper = hp;
-  cc.distance = config_.dataset.distance;
-  linalg::Workspace local_ws;
-  linalg::Workspace& plan_ws = ws != nullptr ? *ws : local_ws;
+  // rescans.
   clustering::PowerView view = [&] {
     obs::ScopedSpan span(tw, "cluster_and_postprocess", "pipeline");
     const std::size_t cpu_levels[] = {platform_->max_cpu_level()};
@@ -328,17 +317,17 @@ OptimizationPlan PowerLens::optimize(const dnn::Graph& graph,
     }
     const linalg::Matrix table =
         features::DepthwiseFeatureExtractor::extract(graph);
-    linalg::Workspace::Lease dist = plan_ws.lease(0, 0);
+    linalg::Workspace::Lease dist =
+        plan_ws.lease_uninit(table.rows(), table.rows());
     clustering::EpsAdjacency adj;
     {
       PhaseTimer timer(phase_distance_hist());
-      clustering::power_distances_adj_into(table, cc.distance, hp.eps,
-                                           plan_ws, *dist, adj);
+      clustering::power_distances_adj_into(table, config_.dataset.distance,
+                                           hp.eps, plan_ws, *dist, adj);
     }
     PhaseTimer timer(phase_cluster_hist());
     return enforce_min_block_duration(
-        *costs,
-        clustering::build_power_view_from_adjacency(*dist, adj, cc.hyper),
+        *costs, clustering::build_power_view_from_adjacency(*dist, adj, hp),
         *platform_, feasible_block_duration(*costs, *platform_));
   }();
 
@@ -346,7 +335,7 @@ OptimizationPlan PowerLens::optimize(const dnn::Graph& graph,
   obs::ScopedSpan decide_span(tw, "decide_levels", "pipeline");
   OptimizationPlan plan = [&] {
     PhaseTimer timer(phase_decide_hist());
-    return plan_for_view(graph, std::move(view), false, ws);
+    return plan_for_view(graph, std::move(view), false, &plan_ws);
   }();
   plan.hyper = hp;
   obs::log_debug(
@@ -361,100 +350,13 @@ std::vector<OptimizationPlan> PowerLens::optimize_batch(
   if (!trained()) {
     throw std::logic_error("PowerLens: optimize before train");
   }
-  std::vector<OptimizationPlan> plans;
-  plans.reserve(graphs.size());
-  if (graphs.empty()) return plans;
-
-  obs::TraceWriter& tw = obs::default_trace();
-  obs::ScopedSpan opt_span(
-      tw, "powerlens_optimize_batch", "pipeline",
-      {obs::TraceArg::num("graphs", static_cast<double>(graphs.size()))});
-
-  // The distance batch needs a workspace even on the heap path; a local one
-  // only changes buffer provenance, never values.
   linalg::Workspace local_ws;
   linalg::Workspace& batch_ws = ws != nullptr ? *ws : local_ws;
-
-  // Phase 1, per graph: predicted clustering hyperparameters and the
-  // unscaled depthwise feature table (optimize() steps 1-2a).
-  std::vector<clustering::ClusteringHyperparams> hps;
-  hps.reserve(graphs.size());
-  std::vector<linalg::Matrix> tables;
-  tables.reserve(graphs.size());
+  std::vector<OptimizationPlan> plans;
+  plans.reserve(graphs.size());
   for (const dnn::Graph* graph : graphs) {
-    PhaseTimer timer(phase_predict_hist());
-    const features::GlobalFeatures net_features =
-        features::GlobalFeatureExtractor::extract(*graph);
-    const int cls = hyper_model_.predict(net_features, ws);
-    hps.push_back(config_.dataset.grid.at(static_cast<std::size_t>(cls)));
-    tables.push_back(features::DepthwiseFeatureExtractor::extract(*graph));
+    plans.push_back(optimize(*graph, &batch_ws));
   }
-
-  // Phase 2: every graph's power-distance matrix through one shared
-  // eigendecomposition batch, each emitting its ε-adjacency (per-graph eps
-  // from phase 1's predictions) inside the distance sweeps.
-  std::vector<const linalg::Matrix*> table_ptrs;
-  table_ptrs.reserve(tables.size());
-  for (const linalg::Matrix& t : tables) table_ptrs.push_back(&t);
-  std::vector<linalg::Workspace::Lease> dist_leases;
-  dist_leases.reserve(graphs.size());
-  std::vector<linalg::Matrix*> dist_ptrs;
-  dist_ptrs.reserve(graphs.size());
-  std::vector<double> eps;
-  eps.reserve(graphs.size());
-  std::vector<clustering::EpsAdjacency> adjs(graphs.size());
-  std::vector<clustering::EpsAdjacency*> adj_ptrs;
-  adj_ptrs.reserve(graphs.size());
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    dist_leases.push_back(batch_ws.lease(0, 0));
-    dist_ptrs.push_back(&*dist_leases.back());
-    eps.push_back(hps[i].eps);
-    adj_ptrs.push_back(&adjs[i]);
-  }
-  {
-    obs::ScopedSpan span(tw, "batched_power_distances", "pipeline");
-    const auto t0 = std::chrono::steady_clock::now();
-    clustering::power_distances_adj_batch_into(
-        table_ptrs, config_.dataset.distance, eps, batch_ws, dist_ptrs,
-        adj_ptrs);
-    // Amortised per-plan share of the shared sweep, observed once per
-    // graph — same discipline as powerlens_serve_plan_compute_ms.
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count() /
-                      static_cast<double>(graphs.size());
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      phase_distance_hist().observe(ms);
-    }
-  }
-
-  // Phase 3, per graph: clustering, feasibility post-processing, per-block
-  // frequency decisions (optimize() steps 2b-5, same order per graph).
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const dnn::Graph& graph = *graphs[i];
-    const std::size_t cpu_levels[] = {platform_->max_cpu_level()};
-    std::optional<hw::CostTable> costs;
-    {
-      PhaseTimer timer(phase_cost_table_hist());
-      costs.emplace(*platform_, graph.layers(), cpu_levels);
-    }
-    clustering::PowerView view = [&] {
-      PhaseTimer timer(phase_cluster_hist());
-      return enforce_min_block_duration(
-          *costs,
-          clustering::build_power_view_from_adjacency(*dist_ptrs[i], adjs[i],
-                                                      hps[i]),
-          *platform_, feasible_block_duration(*costs, *platform_));
-    }();
-    OptimizationPlan plan = [&] {
-      PhaseTimer timer(phase_decide_hist());
-      return plan_for_view(graph, std::move(view), false, ws);
-    }();
-    plan.hyper = hps[i];
-    plans.push_back(std::move(plan));
-  }
-  obs::log_debug("powerlens", "optimized graph batch",
-                 {{"graphs", static_cast<double>(plans.size())}});
   return plans;
 }
 

@@ -10,7 +10,9 @@
 //               from global features, 2) cluster layers into power blocks
 //               (Algorithm 1), 3) predict each block's target frequency,
 //               4) emit the preset DVFS instrumentation schedule that the
-//               runtime engine applies at block boundaries.
+//               runtime engine applies at block boundaries. This is the one
+//               plan-compute path: serving calls it per plan-cache miss and
+//               optimize_batch() loops it.
 #pragma once
 
 #include "clustering/cluster.hpp"
@@ -52,9 +54,9 @@ class PredictionModel {
   bool trained() const noexcept { return mlp_.has_value(); }
 
   // Predicted class for one feature bundle. Throws std::logic_error if not
-  // trained. When `ws` is non-null, the scaled feature rows and every MLP
-  // activation are leased from it (the serving hot path's per-worker
-  // workspace) instead of heap-allocated.
+  // trained. The scaled feature rows and every MLP activation are leased
+  // from `ws` (the serving hot path's per-worker workspace); a null `ws`
+  // means a call-local one.
   int predict(const features::GlobalFeatures& features,
               linalg::Workspace* ws = nullptr) const;
 
@@ -156,21 +158,18 @@ class PowerLens {
   bool trained() const noexcept;
 
   // Model-driven optimization of one DNN (workflow steps 1-5 of section
-  // 2.1.1). Throws std::logic_error before train(). A non-null `ws` is
-  // threaded through every dense computation (feature scaling, MLP
-  // inference, the clustering distance pipeline), so a warmed-up per-worker
-  // workspace makes repeated plan computation allocation-free in the matrix
-  // hot loops.
+  // 2.1.1) — the one plan-compute path. Throws std::logic_error before
+  // train(). `ws` is threaded through every dense computation (feature
+  // scaling, MLP inference, the clustering distance pipeline), so a
+  // warmed-up per-worker workspace makes repeated plan computation
+  // allocation-free in the matrix hot loops; a null `ws` means a call-local
+  // one.
   OptimizationPlan optimize(const dnn::Graph& graph,
                             linalg::Workspace* ws = nullptr) const;
 
-  // Batched optimize(): plans many graphs in one call, pushing every
-  // graph's clustering covariance through ONE shared eigendecomposition
-  // batch (clustering::power_distances_batch_into) instead of one
-  // decomposition per graph. plans[i] is bitwise identical to
-  // optimize(*graphs[i], ws) — batching changes wall-clock, never results
-  // (test-asserted). An offline API: serving computes each plan-cache miss
-  // with optimize(). Throws std::logic_error before train().
+  // optimize() over many graphs, in order, sharing one workspace (the
+  // caller's, or a call-local one when `ws` is null): plans[i] equals
+  // optimize(*graphs[i], ws). Throws std::logic_error before train().
   std::vector<OptimizationPlan> optimize_batch(
       std::span<const dnn::Graph* const> graphs,
       linalg::Workspace* ws = nullptr) const;

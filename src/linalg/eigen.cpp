@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
-#include <utility>
 
 namespace powerlens::linalg {
 
@@ -23,54 +22,17 @@ double off_diagonal_norm(const Matrix& a) {
   return std::sqrt(s);
 }
 
-// One matrix mid-decomposition. The single and batched entry points both
-// drive instances of this through the same init / sweep / finish helpers,
-// so a matrix decomposed in a batch takes exactly the sweep sequence it
-// would take alone — per-matrix convergence is checked before each sweep
-// and rotations touch only this problem's storage, which keeps batched
-// results bitwise identical to eigen_symmetric (test-asserted).
-struct JacobiProblem {
-  Matrix d;   // working copy, driven to diagonal
-  Matrix vt;  // eigenvectors, accumulated transposed (row r = eigenvector r)
-  double tol = 0.0;
-  double rot_tol = 0.0;
-  bool done = false;
-};
-
-JacobiProblem init_jacobi(const Matrix& a, double symmetry_tol) {
-  if (!a.square()) {
-    throw std::invalid_argument("eigen_symmetric: matrix must be square");
-  }
-  const std::size_t n = a.rows();
-  const double scale = std::max(a.frobenius_norm(), 1.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (std::abs(a(i, j) - a(j, i)) > symmetry_tol * scale) {
-        throw std::invalid_argument("eigen_symmetric: matrix not symmetric");
-      }
-    }
-  }
-  JacobiProblem prob;
-  prob.d = a;
-  // Eigenvectors accumulate transposed: each Jacobi rotation then rewrites
-  // two contiguous rows instead of two strided columns, which vectorizes.
-  // Per-element arithmetic is unchanged and every element update is
-  // independent, so results stay bitwise identical to the column layout.
-  prob.vt = Matrix::identity(n);
-  prob.tol = 1e-13 * scale;
-  prob.rot_tol = prob.tol / static_cast<double>(n * n + 1);
-  return prob;
-}
-
-// One full cyclic sweep over the upper triangle.
-void jacobi_sweep(JacobiProblem& prob) {
-  const std::size_t n = prob.d.rows();
-  double* const dd = prob.d.data().data();
-  double* const vv = prob.vt.data().data();
+// One full cyclic sweep over the upper triangle of `d`, accumulating the
+// rotations into `vt` (eigenvectors stored transposed: row r is
+// eigenvector r). Rotations with |a_pq| <= rot_tol are skipped.
+void jacobi_sweep(Matrix& d, Matrix& vt, double rot_tol) {
+  const std::size_t n = d.rows();
+  double* const dd = d.data().data();
+  double* const vv = vt.data().data();
   for (std::size_t p = 0; p + 1 < n; ++p) {
     for (std::size_t q = p + 1; q < n; ++q) {
       const double apq = dd[p * n + q];
-      if (std::abs(apq) <= prob.rot_tol) continue;
+      if (std::abs(apq) <= rot_tol) continue;
       const double app = dd[p * n + p];
       const double aqq = dd[q * n + q];
       const double theta = (aqq - app) / (2.0 * apq);
@@ -155,91 +117,49 @@ void jacobi_sweep(JacobiProblem& prob) {
   }
 }
 
-// Sort eigenpairs by descending eigenvalue and pack the output layout.
-EigenDecomposition finish_jacobi(const JacobiProblem& prob) {
-  const std::size_t n = prob.d.rows();
+}  // namespace
+
+EigenDecomposition eigen_symmetric(const Matrix& a, double symmetry_tol) {
+  if (!a.square()) {
+    throw std::invalid_argument("eigen_symmetric: matrix must be square");
+  }
+  const std::size_t n = a.rows();
+  const double scale = std::max(a.frobenius_norm(), 1.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (std::abs(a(i, j) - a(j, i)) > symmetry_tol * scale) {
+        throw std::invalid_argument("eigen_symmetric: matrix not symmetric");
+      }
+    }
+  }
+  Matrix d = a;
+  // Eigenvectors accumulate transposed: each Jacobi rotation then rewrites
+  // two contiguous rows instead of two strided columns, which vectorizes.
+  // Per-element arithmetic is unchanged and every element update is
+  // independent, so results stay bitwise identical to the column layout.
+  Matrix vt = Matrix::identity(n);
+  const double tol = 1e-13 * scale;
+  const double rot_tol = tol / static_cast<double>(n * n + 1);
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
+    if (off_diagonal_norm(d) <= tol) break;
+    jacobi_sweep(d, vt, rot_tol);
+  }
+
+  // Sort eigenpairs by descending eigenvalue and pack the output layout.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
-    return prob.d(i, i) > prob.d(j, j);
+    return d(i, i) > d(j, j);
   });
-
   EigenDecomposition out;
   out.values.resize(n);
   out.vectors = Matrix(n, n);
   for (std::size_t c = 0; c < n; ++c) {
-    out.values[c] = prob.d(order[c], order[c]);
+    out.values[c] = d(order[c], order[c]);
     for (std::size_t r = 0; r < n; ++r) {
-      out.vectors(r, c) = prob.vt(order[c], r);
+      out.vectors(r, c) = vt(order[c], r);
     }
   }
-  return out;
-}
-
-Matrix whitening_from_values(const EigenDecomposition& ed, double rcond) {
-  const std::size_t n = ed.vectors.rows();
-  double max_ev = 0.0;
-  for (double ev : ed.values) max_ev = std::max(max_ev, std::abs(ev));
-  const double cutoff = rcond * std::max(max_ev, 1e-300);
-
-  std::size_t kept = 0;
-  for (double ev : ed.values) {
-    if (ev > cutoff) ++kept;
-  }
-  Matrix w(kept, n);
-  std::size_t r = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (ed.values[k] <= cutoff) continue;
-    const double scale = 1.0 / std::sqrt(ed.values[k]);
-    for (std::size_t j = 0; j < n; ++j) {
-      w(r, j) = scale * ed.vectors(j, k);
-    }
-    ++r;
-  }
-  return w;
-}
-
-}  // namespace
-
-EigenDecomposition eigen_symmetric(const Matrix& a, double symmetry_tol) {
-  JacobiProblem prob = init_jacobi(a, symmetry_tol);
-  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    if (off_diagonal_norm(prob.d) <= prob.tol) break;
-    jacobi_sweep(prob);
-  }
-  return finish_jacobi(prob);
-}
-
-std::vector<EigenDecomposition> eigen_symmetric_batch(
-    std::span<const Matrix* const> as, double symmetry_tol) {
-  // Validate everything up front: a bad matrix anywhere in the batch throws
-  // before any decomposition work runs, so callers never see partial output.
-  std::vector<JacobiProblem> probs;
-  probs.reserve(as.size());
-  for (const Matrix* a : as) probs.push_back(init_jacobi(*a, symmetry_tol));
-
-  // Shared sweep rounds: each round advances every still-unconverged
-  // problem by one cyclic sweep. Per-problem convergence is checked before
-  // its sweep — the identical schedule eigen_symmetric runs solo — so
-  // batching changes which problems share a round, never what any single
-  // problem computes.
-  for (int round = 0; round < kMaxSweeps; ++round) {
-    bool any_active = false;
-    for (JacobiProblem& prob : probs) {
-      if (prob.done) continue;
-      if (off_diagonal_norm(prob.d) <= prob.tol) {
-        prob.done = true;
-        continue;
-      }
-      jacobi_sweep(prob);
-      any_active = true;
-    }
-    if (!any_active) break;
-  }
-
-  std::vector<EigenDecomposition> out;
-  out.reserve(probs.size());
-  for (const JacobiProblem& prob : probs) out.push_back(finish_jacobi(prob));
   return out;
 }
 
@@ -267,18 +187,27 @@ Matrix pseudo_inverse_spd(const Matrix& a, double rcond) {
 }
 
 Matrix whitening_factor_spd(const Matrix& a, double rcond) {
-  return whitening_from_values(eigen_symmetric(a), rcond);
-}
+  const EigenDecomposition ed = eigen_symmetric(a);
+  const std::size_t n = ed.vectors.rows();
+  double max_ev = 0.0;
+  for (double ev : ed.values) max_ev = std::max(max_ev, std::abs(ev));
+  const double cutoff = rcond * std::max(max_ev, 1e-300);
 
-std::vector<Matrix> batched_whitening(std::span<const Matrix* const> as,
-                                      double rcond) {
-  const std::vector<EigenDecomposition> eds = eigen_symmetric_batch(as);
-  std::vector<Matrix> out;
-  out.reserve(eds.size());
-  for (const EigenDecomposition& ed : eds) {
-    out.push_back(whitening_from_values(ed, rcond));
+  std::size_t kept = 0;
+  for (double ev : ed.values) {
+    if (ev > cutoff) ++kept;
   }
-  return out;
+  Matrix w(kept, n);
+  std::size_t r = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (ed.values[k] <= cutoff) continue;
+    const double scale = 1.0 / std::sqrt(ed.values[k]);
+    for (std::size_t j = 0; j < n; ++j) {
+      w(r, j) = scale * ed.vectors(j, k);
+    }
+    ++r;
+  }
+  return w;
 }
 
 }  // namespace powerlens::linalg

@@ -5,12 +5,13 @@
 // covariance matrix; covariance matrices are symmetric PSD, so a Jacobi
 // eigendecomposition followed by reciprocal-of-nonzero-eigenvalues
 // reconstruction is exact, simple, and robust to rank deficiency (common
-// when few layers share a feature value).
+// when few layers share a feature value). One matrix per call: the plan
+// path decomposes one d x d covariance per network (d = the depthwise
+// feature width), which costs little next to its O(n²) distance stage.
 #pragma once
 
 #include "linalg/matrix.hpp"
 
-#include <span>
 #include <vector>
 
 namespace powerlens::linalg {
@@ -27,16 +28,6 @@ struct EigenDecomposition {
 // (asymmetry beyond `symmetry_tol` * frobenius_norm).
 EigenDecomposition eigen_symmetric(const Matrix& a, double symmetry_tol = 1e-9);
 
-// Batched decomposition: drives many independent symmetric matrices through
-// shared cyclic-Jacobi sweep rounds (the batched offline path — one call
-// decomposes every covariance an optimize_batch call needs).
-// Per-matrix convergence is checked on the schedule eigen_symmetric uses
-// solo and rotations never cross matrices, so result i is bitwise identical
-// to eigen_symmetric(*as[i]). Validates every input before decomposing any;
-// throws std::invalid_argument as eigen_symmetric would.
-std::vector<EigenDecomposition> eigen_symmetric_batch(
-    std::span<const Matrix* const> as, double symmetry_tol = 1e-9);
-
 // Moore-Penrose pseudo-inverse of a symmetric PSD matrix. Eigenvalues whose
 // magnitude is below rcond * max_eigenvalue are treated as zero.
 Matrix pseudo_inverse_spd(const Matrix& a, double rcond = 1e-10);
@@ -50,11 +41,5 @@ Matrix pseudo_inverse_spd(const Matrix& a, double rcond = 1e-10);
 // non-positive ones, which a PSD input only produces through rounding — are
 // dropped; with nothing kept, W is a 0 x n matrix.
 Matrix whitening_factor_spd(const Matrix& a, double rcond = 1e-10);
-
-// Batched whitening_factor_spd: one eigen_symmetric_batch call followed by
-// the per-matrix factor construction. Element i is bitwise identical to
-// whitening_factor_spd(*as[i], rcond).
-std::vector<Matrix> batched_whitening(std::span<const Matrix* const> as,
-                                      double rcond = 1e-10);
 
 }  // namespace powerlens::linalg

@@ -9,11 +9,38 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace powerlens::linalg {
+
+namespace detail {
+
+// std::allocator whose value-less construct() default-initializes: vector
+// growth through resize() leaves doubles unwritten instead of zeroing them
+// (Matrix::reshape_no_fill's contract). Every other Matrix construction
+// path passes an explicit value, so only that one call changes behaviour.
+template <class T>
+struct NoFillAllocator : std::allocator<T> {
+  NoFillAllocator() = default;
+  template <class U>
+  NoFillAllocator(const NoFillAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+}  // namespace detail
 
 class Matrix {
  public:
@@ -41,10 +68,12 @@ class Matrix {
   // the Workspace scratch-pool contract relies on this staying
   // allocation-free after warmup.
   void reshape(std::size_t rows, std::size_t cols, double fill = 0.0);
-  // Re-dimensions WITHOUT refreshing contents: existing elements keep
-  // whatever values the buffer held (in flat row-major order) and any
-  // growth is zero-filled. For outputs whose consumed region is fully
-  // overwritten next — skips the O(rows·cols) refill reshape() pays.
+  // Re-dimensions WITHOUT writing any element: existing elements keep
+  // whatever values the buffer held (in flat row-major order) and growth
+  // is left uninitialized — also past the old size within the capacity,
+  // so a pooled buffer regrown this way is never touched. For outputs
+  // whose consumed region is fully overwritten next — skips the
+  // O(rows·cols) refill reshape() pays.
   void reshape_no_fill(std::size_t rows, std::size_t cols);
   // Sets every element to `value` without changing the shape.
   void fill(double value) noexcept;
@@ -91,7 +120,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, detail::NoFillAllocator<double>> data_;
 };
 
 // y = M * x; throws std::invalid_argument if x.size() != M.cols().

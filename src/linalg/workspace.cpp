@@ -34,14 +34,14 @@ Workspace::Lease Workspace::lease_impl(std::size_t rows, std::size_t cols,
   if (pick != pool_.size()) {
     m = std::move(pool_[pick]);
     pool_.erase(pool_.begin() + static_cast<std::ptrdiff_t>(pick));
-    if (zero_fill) {
-      m->reshape(rows, cols);
-    } else {
-      m->reshape_no_fill(rows, cols);
-    }
   } else {
-    m = std::make_unique<Matrix>(rows, cols);
+    m = std::make_unique<Matrix>();
     ++created_;
+  }
+  if (zero_fill) {
+    m->reshape(rows, cols);
+  } else {
+    m->reshape_no_fill(rows, cols);
   }
   return Lease(this, std::move(m));
 }

@@ -64,9 +64,10 @@ class Workspace {
   Lease lease(std::size_t rows, std::size_t cols);
 
   // Like lease(), but the buffer's contents are UNSPECIFIED (stale pool
-  // data or zeros) instead of zero-filled — for scratch whose consumed
-  // region the caller fully overwrites, e.g. the triangular distance
-  // pipeline's Gram and blend buffers. Skips an O(rows·cols) refill.
+  // data or never-written memory) instead of zero-filled — for scratch
+  // whose consumed region the caller fully overwrites, e.g. the triangular
+  // distance pipeline's Gram and blend buffers. No element is written,
+  // also when the lease grows a buffer (Matrix::reshape_no_fill).
   Lease lease_uninit(std::size_t rows, std::size_t cols);
 
   // Buffers currently sitting in the pool (not leased out).

@@ -15,6 +15,7 @@
 #include "clustering/dbscan.hpp"
 #include "clustering/distance.hpp"
 #include "clustering/postprocess.hpp"
+#include "support/distance_oracles.hpp"
 
 #include <gtest/gtest.h>
 
@@ -112,7 +113,7 @@ TEST(ClusterPropertiesTest, DistanceMatricesAreWellFormed) {
          {FeatureMetric::kMahalanobis, FeatureMetric::kEuclidean}) {
       DistanceParams params;
       params.metric = metric;
-      const linalg::Matrix d = power_distances_for(features, params);
+      const linalg::Matrix d = oracle::power_distances(features, params);
       ASSERT_EQ(d.rows(), layers);
       ASSERT_EQ(d.cols(), layers);
       for (std::size_t i = 0; i < layers; ++i) {

@@ -4,6 +4,7 @@
 #include "dnn/builder.hpp"
 #include "dnn/models.hpp"
 #include "features/depthwise.hpp"
+#include "support/distance_oracles.hpp"
 
 #include <gtest/gtest.h>
 
@@ -79,7 +80,7 @@ TEST(BuildPowerView, PrecomputedDistancesMatchDirectPath) {
 
   const linalg::Matrix features =
       features::DepthwiseFeatureExtractor::extract(g);
-  const linalg::Matrix dist = power_distances_for(features, cfg.distance);
+  const linalg::Matrix dist = oracle::power_distances(features, cfg.distance);
   const PowerView via = build_power_view_from_distances(dist, cfg.hyper);
   ASSERT_EQ(direct.block_count(), via.block_count());
   for (std::size_t i = 0; i < direct.block_count(); ++i) {

@@ -1,15 +1,21 @@
 #include "clustering/dbscan.hpp"
 
+#include "support/distance_oracles.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <set>
+#include <stdexcept>
 
 namespace powerlens::clustering {
 namespace {
 
 using linalg::Matrix;
+using oracle::dbscan_reference;
 
 // Distance matrix for points on a line.
 Matrix line_distances(const std::vector<double>& pts) {
@@ -135,8 +141,9 @@ TEST(Dbscan, DeterministicLabels) {
 //
 // The production dbscan() now expands over an ε-threshold CSR adjacency
 // with a frontier that never re-enqueues labeled points. These tests pin
-// its labels to dbscan_reference(), the pre-CSR implementation kept
-// verbatim as the oracle — field-exact equality, not just same clustering.
+// its labels to dbscan_reference() (tests/support/distance_oracles.hpp),
+// the dense implementation kept as the oracle — field-exact equality, not
+// just same clustering.
 
 TEST(DbscanCsr, MatchesReferenceOnSeededRandomDatasets) {
   for (const std::uint64_t seed : {1u, 7u, 23u, 101u, 555u}) {
@@ -238,6 +245,34 @@ TEST(EpsAdjacency, FromBitmapMatchesFromDistances) {
   const EpsAdjacency from_dist = EpsAdjacency::from_distances(d, eps);
   EXPECT_EQ(from_bits.offsets, from_dist.offsets);
   EXPECT_EQ(from_bits.neighbors, from_dist.neighbors);
+}
+
+TEST(EpsAdjacency, FromDistancesReadsOnlyTheLowerTriangle) {
+  // The distance pipeline leaves the upper triangle unspecified: poisoning
+  // it must change nothing, and the result equals the full-row scan of the
+  // symmetric matrix.
+  const Matrix d = random_distances(70, 5);
+  Matrix lower = d;
+  for (std::size_t i = 0; i < lower.rows(); ++i) {
+    for (std::size_t j = i + 1; j < lower.cols(); ++j) {
+      lower(i, j) = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  for (const double eps : {0.1, 0.6, 3.0}) {
+    const EpsAdjacency want = oracle::eps_adjacency_full_scan(d, eps);
+    const EpsAdjacency got = EpsAdjacency::from_distances(lower, eps);
+    EXPECT_EQ(got.offsets, want.offsets) << "eps=" << eps;
+    EXPECT_EQ(got.neighbors, want.neighbors) << "eps=" << eps;
+  }
+}
+
+TEST(EpsAdjacency, FromBitmapRejectsOffsetOverflow) {
+  // Summed degrees past the 32-bit offsets must throw before anything is
+  // sized or the bitmap is read (the degrees are fabricated; no bitmap of
+  // that size exists).
+  const std::size_t degree[] = {std::numeric_limits<std::uint32_t>::max(), 1};
+  EXPECT_THROW(EpsAdjacency::from_bitmap(2, nullptr, 1, degree),
+               std::length_error);
 }
 
 TEST(EpsAdjacency, RejectsBadArguments) {

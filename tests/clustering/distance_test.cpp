@@ -1,18 +1,54 @@
+// The triangular power-distance pipeline against the dense full-matrix
+// oracle (bitwise, on every dispatch path) and the metric's own properties
+// on the oracle's Mahalanobis / Euclidean / spacing terms.
 #include "clustering/distance.hpp"
 
+#include "linalg/kernels.hpp"
 #include "linalg/workspace.hpp"
+#include "support/distance_oracles.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace powerlens::clustering {
 namespace {
 
 using linalg::Matrix;
+using oracle::euclidean_distances;
+using oracle::mahalanobis_distances;
+using oracle::mahalanobis_distances_naive;
+using oracle::spacing_penalty;
+
+// The production pipeline's output with its lower triangle mirrored into
+// the (unspecified) upper half, so full-matrix assertions apply.
+Matrix power_distance_matrix(const Matrix& x, const DistanceParams& p) {
+  linalg::Workspace ws;
+  Matrix out;
+  EpsAdjacency adj;
+  power_distance_matrix_adj_into(x, p, 0.5, ws, out, adj);
+  for (std::size_t i = 0; i < out.rows(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) out(j, i) = out(i, j);
+  }
+  return out;
+}
+
+// Lower triangle + diagonal bitwise equality — the pipeline's contract.
+void expect_lower_eq(const Matrix& got, const Matrix& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      ASSERT_EQ(got(i, j), want(i, j))
+          << what << " at (" << i << ", " << j << ")";
+    }
+  }
+}
 
 TEST(Mahalanobis, ZeroDiagonalSymmetric) {
   const Matrix x{{1.0, 2.0}, {3.0, 1.0}, {0.0, 5.0}, {2.0, 2.0}};
@@ -132,9 +168,22 @@ TEST(PowerDistance, EuclideanMetricOption) {
 }
 
 TEST(Mahalanobis, EmptyThrows) {
-  EXPECT_THROW(mahalanobis_distances(Matrix()), std::invalid_argument);
-  EXPECT_THROW(euclidean_distances(Matrix()), std::invalid_argument);
+  DistanceParams p;
+  EXPECT_THROW(power_distance_matrix(Matrix(), p), std::invalid_argument);
+  p.metric = FeatureMetric::kEuclidean;
+  EXPECT_THROW(power_distance_matrix(Matrix(), p), std::invalid_argument);
   EXPECT_THROW(mahalanobis_distances_naive(Matrix()), std::invalid_argument);
+}
+
+TEST(PowerDistance, NonPositiveEpsThrows) {
+  const Matrix x{{1.0, 2.0}, {3.0, 1.0}, {0.0, 5.0}};
+  linalg::Workspace ws;
+  Matrix out;
+  EpsAdjacency adj;
+  for (const double eps : {0.0, -0.25}) {
+    EXPECT_THROW(power_distance_matrix_adj_into(x, {}, eps, ws, out, adj),
+                 std::invalid_argument);
+  }
 }
 
 Matrix random_table(std::size_t n, std::size_t d, std::uint64_t seed) {
@@ -146,9 +195,11 @@ Matrix random_table(std::size_t n, std::size_t d, std::uint64_t seed) {
 }
 
 TEST(MahalanobisWhitened, MatchesNaiveQuadraticFormOracle) {
-  // The production path (whiten + Gram) and the O(n^2 d^2) per-pair
-  // quadratic form compute the same metric through different
-  // factorizations; they must agree to factorization rounding.
+  // The whitened path (whiten + Gram; the production lower triangle equals
+  // this dense matrix bitwise, see TriangularPathMatchesDenseOraclePerTable)
+  // and the O(n^2 d^2) per-pair quadratic form compute the same metric
+  // through different factorizations; they must agree to factorization
+  // rounding.
   for (const std::size_t n : {5ul, 17ul, 40ul}) {
     const Matrix x = random_table(n, 9, 1000 + n);
     const Matrix fast = mahalanobis_distances(x);
@@ -190,85 +241,92 @@ TEST(MahalanobisWhitened, ExactSymmetryAndZeroDiagonal) {
 
 TEST(MahalanobisWhitened, AllConstantTableGivesZeroDistances) {
   // Zero covariance keeps no whitened directions; the old pinv(0) = 0 path
-  // also produced all-zero distances.
+  // also produced all-zero distances. With alpha = 1 the pipeline's output
+  // is the normalized feature term alone.
   Matrix x(6, 4);
   for (double& v : x.data()) v = 3.5;
-  const Matrix d = mahalanobis_distances(x);
+  const Matrix whitened = mahalanobis_distances(x);
+  for (const double v : whitened.data()) EXPECT_EQ(v, 0.0);
+  DistanceParams p;
+  p.alpha = 1.0;
+  const Matrix d = power_distance_matrix(x, p);
   for (const double v : d.data()) EXPECT_EQ(v, 0.0);
 }
 
-TEST(MahalanobisWhitened, WorkspaceVariantIsBitwiseIdentical) {
-  const Matrix x = random_table(23, 8, 77);
-  const Matrix plain = mahalanobis_distances(x);
+// Workspace reuse: a second pass over a warmed pool reproduces the dense
+// oracle bit for bit and creates no buffers.
+void expect_workspace_reuse_matches_oracle(const Matrix& x,
+                                           const DistanceParams& p) {
+  const Matrix want = oracle::power_distance_matrix(x, p);
   linalg::Workspace ws;
   Matrix pooled;
-  mahalanobis_distances_into(x, ws, pooled);
-  EXPECT_EQ(Matrix::max_abs_diff(plain, pooled), 0.0);
-  // Second pass reuses the warmed pool and must reproduce the result.
+  EpsAdjacency adj;
+  power_distance_matrix_adj_into(x, p, 0.3, ws, pooled, adj);
+  expect_lower_eq(pooled, want, "first pass");
   const std::size_t created = ws.created();
-  mahalanobis_distances_into(x, ws, pooled);
-  EXPECT_EQ(Matrix::max_abs_diff(plain, pooled), 0.0);
+  power_distance_matrix_adj_into(x, p, 0.3, ws, pooled, adj);
+  expect_lower_eq(pooled, want, "warm pass");
   EXPECT_EQ(ws.created(), created);
+}
+
+TEST(MahalanobisWhitened, WorkspaceVariantIsBitwiseIdentical) {
+  DistanceParams p;
+  p.alpha = 1.0;  // the whitened Mahalanobis term alone
+  expect_workspace_reuse_matches_oracle(random_table(23, 8, 77), p);
 }
 
 TEST(PowerDistance, WorkspaceVariantIsBitwiseIdentical) {
-  const Matrix x = random_table(19, 6, 5);
-  DistanceParams p;
-  const Matrix plain = power_distance_matrix(x, p);
-  linalg::Workspace ws;
-  Matrix pooled;
-  power_distance_matrix_into(x, p, ws, pooled);
-  EXPECT_EQ(Matrix::max_abs_diff(plain, pooled), 0.0);
-  const std::size_t created = ws.created();
-  power_distance_matrix_into(x, p, ws, pooled);
-  EXPECT_EQ(Matrix::max_abs_diff(plain, pooled), 0.0);
-  EXPECT_EQ(ws.created(), created);
+  expect_workspace_reuse_matches_oracle(random_table(19, 6, 5),
+                                        DistanceParams{});
 }
 
-// The batched path (shared eigendecomposition sweeps across tables) must
-// reproduce the per-table path bit for bit on every member, including
-// degenerate tables and the Euclidean metric.
-TEST(PowerDistance, BatchVariantIsBitwiseIdenticalPerTable) {
+// The triangular pipeline reproduces the dense full-matrix oracle bit for
+// bit — lower triangle, diagonal and ε-adjacency — on every dispatch path,
+// including rank-deficient tables and the Euclidean metric.
+TEST(PowerDistance, TriangularPathMatchesDenseOraclePerTable) {
   std::vector<Matrix> tables;
   tables.push_back(random_table(19, 6, 5));
   tables.push_back(random_table(31, 6, 99));
   tables.push_back(random_table(7, 4, 3));
+  tables.push_back(random_table(70, 9, 8));
   Matrix constant_col = random_table(11, 5, 21);
   for (std::size_t r = 0; r < constant_col.rows(); ++r) {
     constant_col(r, 2) = 4.25;  // rank-deficient covariance member
   }
   tables.push_back(constant_col);
 
-  for (const FeatureMetric metric :
-       {FeatureMetric::kMahalanobis, FeatureMetric::kEuclidean}) {
-    DistanceParams p;
-    p.metric = metric;
-    linalg::Workspace ws;
-    std::vector<Matrix> dists(tables.size());
-    std::vector<const Matrix*> table_ptrs;
-    std::vector<Matrix*> dist_ptrs;
-    for (std::size_t i = 0; i < tables.size(); ++i) {
-      table_ptrs.push_back(&tables[i]);
-      dist_ptrs.push_back(&dists[i]);
-    }
-    power_distance_matrix_batch_into(table_ptrs, p, ws, dist_ptrs);
-    for (std::size_t i = 0; i < tables.size(); ++i) {
-      const Matrix solo = power_distance_matrix(tables[i], p);
-      EXPECT_EQ(Matrix::max_abs_diff(dists[i], solo), 0.0)
-          << "table " << i << " metric " << static_cast<int>(metric);
+  for (const auto path :
+       {linalg::kernels::DispatchPath::kScalar,
+        linalg::kernels::DispatchPath::kAvx2,
+        linalg::kernels::DispatchPath::kNeon}) {
+    if (!linalg::kernels::path_available(path)) continue;
+    struct PathGuard {
+      explicit PathGuard(linalg::kernels::DispatchPath p) {
+        linalg::kernels::set_path_override(p);
+      }
+      ~PathGuard() { linalg::kernels::set_path_override(std::nullopt); }
+    } guard(path);
+    for (const FeatureMetric metric :
+         {FeatureMetric::kMahalanobis, FeatureMetric::kEuclidean}) {
+      DistanceParams p;
+      p.metric = metric;
+      linalg::Workspace ws;
+      for (std::size_t i = 0; i < tables.size(); ++i) {
+        const std::string what =
+            std::string(linalg::kernels::path_name(path)) + " table " +
+            std::to_string(i) + " metric " +
+            std::to_string(static_cast<int>(metric));
+        const Matrix want = oracle::power_distance_matrix(tables[i], p);
+        Matrix got;
+        EpsAdjacency adj;
+        power_distance_matrix_adj_into(tables[i], p, 0.35, ws, got, adj);
+        expect_lower_eq(got, want, what);
+        const EpsAdjacency scan = oracle::eps_adjacency_full_scan(want, 0.35);
+        EXPECT_EQ(adj.offsets, scan.offsets) << what;
+        EXPECT_EQ(adj.neighbors, scan.neighbors) << what;
+      }
     }
   }
-}
-
-TEST(PowerDistance, BatchSizeMismatchThrows) {
-  const Matrix x = random_table(5, 3, 1);
-  Matrix out;
-  linalg::Workspace ws;
-  const std::vector<const Matrix*> tables = {&x};
-  const std::vector<Matrix*> dists = {&out, &out};
-  EXPECT_THROW(
-      power_distance_matrix_batch_into(tables, DistanceParams{}, ws, dists),
-      std::invalid_argument);
 }
 
 }  // namespace

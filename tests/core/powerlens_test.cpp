@@ -206,9 +206,8 @@ TEST_F(PowerLensTest, PlanForViewRejectsMismatchedView) {
       std::invalid_argument);
 }
 
-// optimize_batch shares eigendecomposition sweeps across the batch but must
-// reproduce each solo optimize() plan field-exactly — batching may change
-// wall-clock, never a plan.
+// optimize_batch is optimize() over each graph with one shared workspace:
+// every plan equals the solo plan field-exactly, duplicates included.
 TEST_F(PowerLensTest, OptimizeBatchMatchesSoloOptimizeFieldExactly) {
   std::vector<dnn::Graph> graphs;
   graphs.push_back(dnn::make_alexnet(4));

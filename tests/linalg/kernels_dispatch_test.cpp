@@ -109,32 +109,52 @@ std::vector<double> run_all_kernels(std::size_t m, std::size_t n,
   col_sums(m, k, a.data().data(), k, sums.data(), /*accumulate=*/true);
   out.insert(out.end(), sums.begin(), sums.end());
 
-  // Distance-path kernels chained the way the Mahalanobis pipeline runs
-  // them: lower-triangle Gram of the A rows, sqrt epilogue, blend. The
-  // sentinel fill of the Gram upper triangle is appended too, so a path
-  // that wrote outside the lower triangle would also fail bitwise.
+  // Distance-path kernels chained the way the power-distance pipeline runs
+  // them: lower-triangle Gram of the A rows, then the full-matrix blend +
+  // ε-bitmap (over a path-independent scalar distance matrix) and the
+  // triangular prepass + fused sweep. The sentinel fill of the Gram upper
+  // triangle is appended too, so a path that wrote outside the lower
+  // triangle would also fail bitwise. Bitmap words are appended as exact
+  // 32-bit halves so a single flipped adjacency bit fails the gauntlet.
   {
     Matrix gram(m, m);
     for (double& v : gram.data()) v = -7.0;
     std::vector<double> at(k * m);
     syrk_nt(m, k, a.data().data(), k, at.data(), gram.data().data(), m);
     append(gram);
-    Matrix dist(m, m);
-    std::vector<double> scratch(m);
-    gram_to_dist(m, gram.data().data(), m, dist.data().data(), m,
-                 scratch.data());
-    append(dist);
     std::vector<double> penalty(m);
     for (std::size_t t = 0; t < m; ++t) {
       penalty[t] = static_cast<double>(t) / (static_cast<double>(m) + 1.0);
     }
-    dist_blend(m, 0.75, 0.5, 0.25, penalty.data(), dist.data().data(), m);
-    append(dist);
+    const std::size_t words = (m + 63) / 64;
+    const auto append_adjacency = [&](const std::vector<std::uint64_t>& bits,
+                                      const std::vector<std::size_t>& degree) {
+      for (const std::uint64_t w : bits) {
+        out.push_back(static_cast<double>(w & 0xffffffffULL));
+        out.push_back(static_cast<double>(w >> 32));
+      }
+      for (const std::size_t deg : degree) {
+        out.push_back(static_cast<double>(deg));
+      }
+    };
+    {
+      Matrix dist(m, m);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+          dist(i, j) = dist(j, i) = std::abs(gram(i, j));
+        }
+      }
+      std::vector<std::uint64_t> bits(m * words);
+      std::vector<std::size_t> degree(m);
+      dist_blend_adj(m, 0.75, 0.5, 0.25, penalty.data(), dist.data().data(),
+                     m, 0.45, bits.data(), words, degree.data());
+      append(dist);
+      append_adjacency(bits, degree);
+    }
 
     // The triangular fused pipeline over the same Gram: max prepass, then
     // one blended-lower + ε-bitmap sweep. Sentinel fill again pins the
-    // untouched upper triangle; bitmap words are appended as exact 32-bit
-    // halves so a single flipped adjacency bit fails the gauntlet.
+    // untouched upper triangle.
     std::vector<double> diag(m);
     double max_d = 0.0;
     gram_dist_max(m, gram.data().data(), m, diag.data(), &max_d);
@@ -143,20 +163,13 @@ std::vector<double> run_all_kernels(std::size_t m, std::size_t n,
     const double inv_max = max_d > 0.0 ? 1.0 / max_d : 1.0;
     Matrix blended(m, m);
     for (double& v : blended.data()) v = -5.5;
-    const std::size_t words = (m + 63) / 64;
     std::vector<std::uint64_t> bits(m * words);
     std::vector<std::size_t> degree(m);
     gram_blend_adj(m, gram.data().data(), m, diag.data(), 0.75, inv_max,
                    0.25, penalty.data(), blended.data().data(), m, 0.45,
                    bits.data(), words, degree.data());
     append(blended);
-    for (const std::uint64_t w : bits) {
-      out.push_back(static_cast<double>(w & 0xffffffffULL));
-      out.push_back(static_cast<double>(w >> 32));
-    }
-    for (const std::size_t deg : degree) {
-      out.push_back(static_cast<double>(deg));
-    }
+    append_adjacency(bits, degree);
   }
 
   return out;

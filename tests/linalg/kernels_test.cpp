@@ -362,33 +362,19 @@ TEST(SyrkNt, MatchesFmaChainLowerTriangleAndLeavesUpperUntouched) {
   }
 }
 
-TEST(GramToDist, MatchesScalarMirrorReferenceBitwise) {
-  // Reference is the classic epilogue the kernel replaced:
-  // sqrt(max(n_i + n_j - 2 g(i,j), 0)) mirrored, zero diagonal. Equality
-  // must be exact: (-2)*g is bitwise -(2*g), a + (-b) is a - b, and sqrt
-  // is correctly rounded everywhere.
-  for (const std::size_t n : {1UL, 2UL, 5UL, 8UL, 17UL, 64UL, 71UL}) {
-    const std::size_t k = 11;
-    const Matrix y = random_matrix(n, k, 1700 + n);
-    Matrix gram(n, n);
-    std::vector<double> at(k * n);
-    syrk_nt(n, k, y.data().data(), k, at.data(), gram.data().data(), n);
-    Matrix want(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
-        const double dd = std::sqrt(
-            std::max(gram(i, i) + gram(j, j) - 2.0 * gram(i, j), 0.0));
-        want(i, j) = dd;
-        want(j, i) = dd;
-      }
-      want(i, i) = 0.0;
+// The full symmetric distance matrix of a lower-triangle Gram matrix, in
+// the distance kernels' scalar expression order:
+// sqrt(max0((g(i,i) + g(j,j)) + -2·g(i,j))), mirrored, zero diagonal.
+Matrix dense_gram_distances(const Matrix& gram) {
+  const std::size_t n = gram.rows();
+  Matrix dist(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      const double t = (gram(i, i) + gram(j, j)) + -2.0 * gram(i, j);
+      dist(i, j) = dist(j, i) = std::sqrt(t > 0.0 ? t : 0.0);
     }
-    Matrix got(n, n);
-    std::vector<double> scratch(n);
-    gram_to_dist(n, gram.data().data(), n, got.data().data(), n,
-                 scratch.data());
-    expect_bitwise_equal(got, want, "gram_to_dist");
   }
+  return dist;
 }
 
 TEST(DistBlend, MatchesScalarReferenceBitwise) {
@@ -409,17 +395,32 @@ TEST(DistBlend, MatchesScalarReferenceBitwise) {
         want(i, j) = alpha * (want(i, j) * inv_max) + beta * penalty[off];
       }
     }
+    const double eps = 0.5;
+    const std::size_t words = (n + 63) / 64;
     Matrix got = d;
-    dist_blend(n, alpha, inv_max, beta, penalty.data(), got.data().data(), n);
-    expect_bitwise_equal(got, want, "dist_blend");
+    std::vector<std::uint64_t> bits(n * words, ~std::uint64_t{0});
+    std::vector<std::size_t> degree(n, 999);
+    dist_blend_adj(n, alpha, inv_max, beta, penalty.data(), got.data().data(),
+                   n, eps, bits.data(), words, degree.data());
+    expect_bitwise_equal(got, want, "dist_blend_adj");
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t count = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        const bool set = (bits[i * words + j / 64] >> (j % 64)) & 1u;
+        ASSERT_EQ(set, want(i, j) <= eps) << "n=" << n << " (" << i << ", "
+                                          << j << ")";
+        count += set ? 1 : 0;
+      }
+      EXPECT_EQ(degree[i], count) << "n=" << n << " row " << i;
+    }
   }
 }
 
 TEST(GramDistMax, MatchesFullMatrixMaxBitwise) {
   // The prepass must agree bitwise with materializing the whole distance
-  // matrix and taking its max (gram_to_dist_max): sqrt and max0 are
-  // monotone, so folding the max over RAW squared distances before the
-  // sqrt(max0(·)) epilogue lands on the identical double.
+  // matrix and taking its max: sqrt and max0 are monotone, so folding the
+  // max over RAW squared distances before the sqrt(max0(·)) epilogue lands
+  // on the identical double.
   for (const std::size_t n : {1UL, 2UL, 4UL, 7UL, 16UL, 33UL, 70UL}) {
     const std::size_t k = 9;
     const Matrix y = random_matrix(n, k, 3100 + n);
@@ -427,11 +428,9 @@ TEST(GramDistMax, MatchesFullMatrixMaxBitwise) {
     std::vector<double> at(k * n);
     syrk_nt(n, k, y.data().data(), k, at.data(), gram.data().data(), n);
 
-    Matrix dist(n, n);
-    std::vector<double> want_diag(n);
+    const Matrix dist = dense_gram_distances(gram);
     double want_max = 0.0;
-    gram_to_dist_max(n, gram.data().data(), n, dist.data().data(), n,
-                     want_diag.data(), &want_max);
+    for (const double v : dist.data()) want_max = std::max(want_max, v);
 
     std::vector<double> diag(n, -1.0);
     double got_max = -1.0;
@@ -444,10 +443,10 @@ TEST(GramDistMax, MatchesFullMatrixMaxBitwise) {
 }
 
 TEST(GramBlendAdj, MatchesTwoKernelPipelineOnLowerTriangle) {
-  // One fused sweep vs the full-matrix pipeline it replaced
-  // (gram_to_dist_max then dist_blend_adj): lower triangle + diagonal
-  // bitwise equal, upper triangle untouched, and the symmetric ε-bitmap +
-  // degrees identical.
+  // One fused sweep vs the full-matrix pipeline (materialized distances,
+  // a max scan, then dist_blend_adj): lower triangle + diagonal bitwise
+  // equal, upper triangle untouched, and the symmetric ε-bitmap + degrees
+  // identical.
   for (const std::size_t n : {1UL, 3UL, 4UL, 8UL, 17UL, 63UL, 64UL, 65UL}) {
     const std::size_t k = 6;
     const Matrix y = random_matrix(n, k, 4400 + n);
@@ -462,11 +461,9 @@ TEST(GramBlendAdj, MatchesTwoKernelPipelineOnLowerTriangle) {
     const double beta = 1.0 - alpha;
     const std::size_t words = (n + 63) / 64;
 
-    Matrix want(n, n);
-    std::vector<double> scratch(n);
+    Matrix want = dense_gram_distances(gram);
     double max_d = 0.0;
-    gram_to_dist_max(n, gram.data().data(), n, want.data().data(), n,
-                     scratch.data(), &max_d);
+    for (const double v : want.data()) max_d = std::max(max_d, v);
     const double inv_max = max_d > 0.0 ? 1.0 / max_d : 1.0;
     const double eps = 0.6 * max_d > 0.0 ? 0.6 * max_d : 0.5;
     std::vector<std::uint64_t> want_bits(n * words);

@@ -81,6 +81,24 @@ TEST(Workspace, BestFitPicksSmallestSufficientBuffer) {
   }
 }
 
+TEST(Workspace, UninitLeaseRegrowingWithinCapacityKeepsContents) {
+  // lease_uninit promises no element writes: shrinking a pooled buffer and
+  // regrowing it within its capacity must not zero-fill the regrown tail.
+  Workspace ws;
+  {
+    Workspace::Lease a = ws.lease_uninit(2, 2);
+    for (std::size_t i = 0; i < 4; ++i) {
+      a->data()[i] = 10.0 + static_cast<double>(i);
+    }
+  }
+  { Workspace::Lease b = ws.lease_uninit(1, 1); }
+  Workspace::Lease c = ws.lease_uninit(2, 2);
+  EXPECT_EQ(ws.created(), 1u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(c->data()[i], 10.0 + static_cast<double>(i)) << "element " << i;
+  }
+}
+
 TEST(Workspace, MovedFromLeaseDoesNotDoubleRelease) {
   Workspace ws;
   {
