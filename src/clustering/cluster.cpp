@@ -40,13 +40,6 @@ void power_distances_adj_into(const linalg::Matrix& depthwise_features,
   power_distance_matrix_adj_into(*scaled, params, eps, ws, dist, adj);
 }
 
-PowerView build_power_view_from_distances(
-    const linalg::Matrix& distances, const ClusteringHyperparams& hyper) {
-  const std::vector<int> labels = dbscan(distances, {hyper.eps, hyper.min_pts});
-  return process_clusters(labels, distances,
-                          {.min_block_layers = hyper.min_pts});
-}
-
 PowerView build_power_view_from_adjacency(const linalg::Matrix& distances,
                                           const EpsAdjacency& adj,
                                           const ClusteringHyperparams& hyper) {

@@ -53,22 +53,18 @@ PowerView build_power_view(const linalg::Matrix& depthwise_features,
 // distances (lower half + zero diagonal; upper half unspecified — index
 // (max(i, j), min(i, j))) and `adj` their ε-threshold CSR adjacency. The
 // distances do not depend on eps, so a hyperparameter sweep computes them
-// once and re-clusters per grid point with build_power_view_from_distances.
+// once and re-clusters per grid point through build_power_view_from_adjacency
+// with an EpsAdjacency::from_distances built at each further eps.
 void power_distances_adj_into(const linalg::Matrix& depthwise_features,
                               const DistanceParams& params, double eps,
                               linalg::Workspace& ws, linalg::Matrix& dist,
                               EpsAdjacency& adj);
 
-// DBSCAN + post-processing on a precomputed power-distance matrix. Reads
-// only the lower triangle, so it accepts power_distances_adj_into's output
-// at any eps.
-PowerView build_power_view_from_distances(const linalg::Matrix& distances,
-                                          const ClusteringHyperparams& hyper);
-
-// Same, with the ε-neighborhoods taken from a prebuilt CSR adjacency (the
-// fused distance-pipeline output). `adj` must have been built from
-// `distances` at hyper.eps; labels — and therefore the PowerView — are
-// identical to build_power_view_from_distances.
+// DBSCAN + post-processing on a precomputed power-distance matrix, with the
+// ε-neighborhoods taken from a prebuilt CSR adjacency (the fused
+// distance-pipeline output, or EpsAdjacency::from_distances). `adj` must
+// have been built from `distances` at hyper.eps. Reads only the lower
+// triangle of `distances`.
 PowerView build_power_view_from_adjacency(const linalg::Matrix& distances,
                                           const EpsAdjacency& adj,
                                           const ClusteringHyperparams& hyper);

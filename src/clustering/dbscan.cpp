@@ -151,13 +151,4 @@ std::vector<int> dbscan(const EpsAdjacency& adj, const DbscanParams& params) {
   return labels;
 }
 
-std::vector<int> dbscan(const linalg::Matrix& distances,
-                        const DbscanParams& params) {
-  if (!distances.square() || distances.rows() == 0) {
-    throw std::invalid_argument("dbscan: distance matrix must be square");
-  }
-  check_params(params);
-  return dbscan(EpsAdjacency::from_distances(distances, params.eps), params);
-}
-
 }  // namespace powerlens::clustering

@@ -59,17 +59,12 @@ struct EpsAdjacency {
                                   const std::size_t* degree);
 };
 
-// Returns one label per row of `distances`: 0..k-1 for cluster membership,
-// kNoise for noise points. The distance matrix must be square and symmetric
-// (only its lower triangle is read).
-// Throws std::invalid_argument on a malformed matrix or eps <= 0 /
-// min_pts == 0. Implemented as from_distances + the CSR overload below.
-std::vector<int> dbscan(const linalg::Matrix& distances,
-                        const DbscanParams& params);
-
-// CSR fast path: the adjacency already encodes eps, so only min_pts is
-// read from `params`. Labels are identical to the dense reference on the
-// matrix the adjacency was built from (property-tested).
+// Returns one label per adjacency row: 0..k-1 for cluster membership,
+// kNoise for noise points. The adjacency already encodes eps, so only
+// min_pts is read from `params`. Labels are identical to the dense
+// reference on the matrix the adjacency was built from (property-tested).
+// Throws std::invalid_argument on a malformed adjacency, eps <= 0 or
+// min_pts == 0.
 std::vector<int> dbscan(const EpsAdjacency& adjacency,
                         const DbscanParams& params);
 

@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 namespace powerlens::core {
 
@@ -23,14 +25,6 @@ clustering::ClusteringHyperparams HyperparamGrid::at(std::size_t index) const {
   const std::size_t ei = index / min_pts_values.size();
   const std::size_t mi = index % min_pts_values.size();
   return {eps_values[ei], min_pts_values[mi]};
-}
-
-std::size_t HyperparamGrid::index_of(
-    const clustering::ClusteringHyperparams& hp) const {
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (at(i) == hp) return i;
-  }
-  throw std::invalid_argument("HyperparamGrid::index_of: not a grid point");
 }
 
 namespace {
@@ -185,20 +179,43 @@ struct GridSweep {
   std::vector<ViewEvaluation> evals;
 };
 
-GridSweep sweep_hyperparam_grid(const linalg::Matrix& distances,
+GridSweep sweep_hyperparam_grid(const dnn::Graph& graph,
                                 const hw::CostTable& costs,
                                 const hw::Platform& platform,
                                 const DatasetGenConfig& config) {
+  // The network's power distances, computed once for the whole grid (they
+  // do not depend on eps or min_pts). The matrix is TRIANGULAR — lower half
+  // + zero diagonal, upper half unspecified — which is all DBSCAN and
+  // post-processing read. The pipeline also emits the ε-adjacency at the
+  // first grid eps; every other distinct eps gets one lower-triangle scan,
+  // shared by all grid classes at that eps.
+  linalg::Workspace ws;
+  linalg::Matrix distances;
+  std::vector<std::pair<double, clustering::EpsAdjacency>> adjacencies(1);
+  adjacencies[0].first = config.grid.at(0).eps;
+  clustering::power_distances_adj_into(
+      features::DepthwiseFeatureExtractor::extract(graph), config.distance,
+      adjacencies[0].first, ws, distances, adjacencies[0].second);
+
   GridSweep sweep;
   const double min_duration = feasible_block_duration(costs, platform);
   std::vector<double> energies(config.grid.size());
   std::vector<std::size_t> block_counts(config.grid.size());
   double best_energy = -1.0;
   for (std::size_t k = 0; k < config.grid.size(); ++k) {
+    const clustering::ClusteringHyperparams hyper = config.grid.at(k);
+    auto adj = std::ranges::find_if(
+        adjacencies, [&](const auto& e) { return e.first == hyper.eps; });
+    if (adj == adjacencies.end()) {
+      adjacencies.emplace_back(
+          hyper.eps,
+          clustering::EpsAdjacency::from_distances(distances, hyper.eps));
+      adj = std::prev(adjacencies.end());
+    }
     sweep.views.push_back(enforce_min_block_duration(
         costs,
-        clustering::build_power_view_from_distances(distances,
-                                                    config.grid.at(k)),
+        clustering::build_power_view_from_adjacency(distances, adj->second,
+                                                    hyper),
         platform, min_duration));
     sweep.evals.push_back(evaluate_view_oracle(
         costs, sweep.views.back(), platform, config.cpu_level_for_labels));
@@ -228,31 +245,13 @@ GridSweep sweep_hyperparam_grid(const linalg::Matrix& distances,
   return sweep;
 }
 
-// The network's power distances, computed once for the whole grid sweep
-// (they do not depend on eps or min_pts). The matrix is TRIANGULAR — lower
-// half + zero diagonal, upper half unspecified — which is all DBSCAN and
-// post-processing read. The pipeline also emits an ε-adjacency at the
-// first grid eps; each grid point rebuilds its own from the matrix.
-linalg::Matrix network_distances(const dnn::Graph& graph,
-                                 const DatasetGenConfig& config) {
-  linalg::Workspace ws;
-  linalg::Matrix dist;
-  clustering::EpsAdjacency adj;
-  clustering::power_distances_adj_into(
-      features::DepthwiseFeatureExtractor::extract(graph), config.distance,
-      config.grid.at(0).eps, ws, dist, adj);
-  return dist;
-}
-
 }  // namespace
 
 std::size_t best_hyperparam_class(const dnn::Graph& graph,
                                   const hw::CostTable& costs,
                                   const hw::Platform& platform,
                                   const DatasetGenConfig& config) {
-  return sweep_hyperparam_grid(network_distances(graph, config), costs,
-                               platform, config)
-      .best_class;
+  return sweep_hyperparam_grid(graph, costs, platform, config).best_class;
 }
 
 std::size_t best_hyperparam_class(const dnn::Graph& graph,
@@ -314,9 +313,7 @@ GeneratedDatasets generate_datasets(const hw::Platform& platform,
     const hw::CostTable costs(
         platform, graph.layers(),
         label_cpu_levels(platform, cfg.cpu_level_for_labels));
-    const linalg::Matrix distances = network_distances(graph, cfg);
-    const GridSweep sweep =
-        sweep_hyperparam_grid(distances, costs, platform, cfg);
+    const GridSweep sweep = sweep_hyperparam_grid(graph, costs, platform, cfg);
 
     NetworkRows& out = rows[n];
 

@@ -35,7 +35,6 @@ struct HyperparamGrid {
     return eps_values.size() * min_pts_values.size();
   }
   clustering::ClusteringHyperparams at(std::size_t index) const;
-  std::size_t index_of(const clustering::ClusteringHyperparams& hp) const;
 };
 
 struct DatasetGenConfig {

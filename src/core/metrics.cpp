@@ -4,10 +4,6 @@
 
 namespace powerlens::core {
 
-double energy_efficiency(const hw::ExecutionResult& result) {
-  return result.energy_efficiency();
-}
-
 double ee_gain(double ee_ours, double ee_baseline) {
   if (ee_baseline <= 0.0) {
     throw std::invalid_argument("ee_gain: baseline EE must be positive");
@@ -18,22 +14,6 @@ double ee_gain(double ee_ours, double ee_baseline) {
 double ee_gain(const hw::ExecutionResult& ours,
                const hw::ExecutionResult& baseline) {
   return ee_gain(ours.energy_efficiency(), baseline.energy_efficiency());
-}
-
-double energy_reduction(const hw::ExecutionResult& ours,
-                        const hw::ExecutionResult& baseline) {
-  if (baseline.energy_j <= 0.0) {
-    throw std::invalid_argument("energy_reduction: baseline energy <= 0");
-  }
-  return (baseline.energy_j - ours.energy_j) / baseline.energy_j;
-}
-
-double time_increase(const hw::ExecutionResult& ours,
-                     const hw::ExecutionResult& baseline) {
-  if (baseline.time_s <= 0.0) {
-    throw std::invalid_argument("time_increase: baseline time <= 0");
-  }
-  return (ours.time_s - baseline.time_s) / baseline.time_s;
 }
 
 }  // namespace powerlens::core

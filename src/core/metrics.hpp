@@ -6,22 +6,10 @@
 
 namespace powerlens::core {
 
-// EE_model = FPS / P_bar = images / E  (images per joule), eq. (1).
-double energy_efficiency(const hw::ExecutionResult& result);
-
 // Relative EE gain of `ours` over `baseline`:
 // (EE_ours - EE_base) / EE_base. Matches the Table 1 footnote definition.
 double ee_gain(const hw::ExecutionResult& ours,
                const hw::ExecutionResult& baseline);
 double ee_gain(double ee_ours, double ee_baseline);
-
-// Relative energy reduction of `ours` vs `baseline` (positive = less
-// energy), as reported for Figure 5.
-double energy_reduction(const hw::ExecutionResult& ours,
-                        const hw::ExecutionResult& baseline);
-
-// Relative time increase of `ours` vs `baseline` (positive = slower).
-double time_increase(const hw::ExecutionResult& ours,
-                     const hw::ExecutionResult& baseline);
 
 }  // namespace powerlens::core

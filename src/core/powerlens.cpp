@@ -275,6 +275,11 @@ OptimizationPlan PowerLens::optimize(const dnn::Graph& graph,
   if (!trained()) {
     throw std::logic_error("PowerLens: optimize before train");
   }
+  if (graph.size() > dnn::kMaxGraphLayers) {
+    throw std::invalid_argument(
+        "PowerLens: graph has " + std::to_string(graph.size()) +
+        " layers, over the limit of " + std::to_string(dnn::kMaxGraphLayers));
+  }
   obs::TraceWriter& tw = obs::default_trace();
   obs::ScopedSpan opt_span(
       tw, "powerlens_optimize", "pipeline",

@@ -163,7 +163,8 @@ class PowerLens {
   // scaling, MLP inference, the clustering distance pipeline), so a
   // warmed-up per-worker workspace makes repeated plan computation
   // allocation-free in the matrix hot loops; a null `ws` means a call-local
-  // one.
+  // one. Throws std::invalid_argument, before any lease, for a graph over
+  // dnn::kMaxGraphLayers.
   OptimizationPlan optimize(const dnn::Graph& graph,
                             linalg::Workspace* ws = nullptr) const;
 

@@ -96,15 +96,4 @@ void write_plan_summary(std::ostream& os, const dnn::Graph& graph,
   }
 }
 
-void write_power_trace_csv(std::ostream& os, const hw::ExecutionResult& r) {
-  os << std::setprecision(6);
-  for (const hw::FreqTracePoint& p : r.gpu_trace) {
-    os << "# freq_change t=" << p.time_s << " level=" << p.gpu_level << "\n";
-  }
-  os << "time_s,power_w\n";
-  for (const hw::PowerSample& s : r.power_samples) {
-    os << s.time_s << ',' << s.power_w << "\n";
-  }
-}
-
 }  // namespace powerlens::core

@@ -1,8 +1,8 @@
 // Human-readable profiling reports: the "power view" made visible.
 //
 // These helpers render what the framework knows about a network — per-layer
-// roofline boundness, per-block decisions, and simulated power traces — into
-// text/CSV, for debugging instrumentation plans and for the examples.
+// roofline boundness and per-block decisions — into text, for debugging
+// instrumentation plans and for the examples.
 #pragma once
 
 #include "core/powerlens.hpp"
@@ -22,9 +22,5 @@ void write_layer_profile(std::ostream& os, const dnn::Graph& graph,
 void write_plan_summary(std::ostream& os, const dnn::Graph& graph,
                         const hw::Platform& platform,
                         const OptimizationPlan& plan);
-
-// CSV of a simulated run's power samples ("time_s,power_w") plus the
-// frequency trace as comment lines — importable into any plotting tool.
-void write_power_trace_csv(std::ostream& os, const hw::ExecutionResult& r);
 
 }  // namespace powerlens::core

@@ -131,10 +131,6 @@ NodeId GraphBuilder::layer_norm(NodeId in, std::string name) {
   return id;
 }
 
-NodeId GraphBuilder::lrn(NodeId in, std::string name) {
-  return elementwise(in, OpType::kLocalResponseNorm, 8.0, std::move(name));
-}
-
 NodeId GraphBuilder::relu(NodeId in, std::string name) {
   return elementwise(in, OpType::kReLU, 1.0, std::move(name));
 }
@@ -149,10 +145,6 @@ NodeId GraphBuilder::hardswish(NodeId in, std::string name) {
 
 NodeId GraphBuilder::sigmoid(NodeId in, std::string name) {
   return elementwise(in, OpType::kSigmoid, 4.0, std::move(name));
-}
-
-NodeId GraphBuilder::softmax(NodeId in, std::string name) {
-  return elementwise(in, OpType::kSoftmax, 5.0, std::move(name));
 }
 
 NodeId GraphBuilder::max_pool2d(NodeId in, std::int64_t kernel,

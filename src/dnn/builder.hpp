@@ -45,14 +45,12 @@ class GraphBuilder {
   // --- normalization ---------------------------------------------------------
   NodeId batch_norm(NodeId in, std::string name = "");
   NodeId layer_norm(NodeId in, std::string name = "");
-  NodeId lrn(NodeId in, std::string name = "");
 
   // --- activations -----------------------------------------------------------
   NodeId relu(NodeId in, std::string name = "");
   NodeId gelu(NodeId in, std::string name = "");
   NodeId hardswish(NodeId in, std::string name = "");
   NodeId sigmoid(NodeId in, std::string name = "");
-  NodeId softmax(NodeId in, std::string name = "");
 
   // --- pooling ---------------------------------------------------------------
   NodeId max_pool2d(NodeId in, std::int64_t kernel, std::int64_t stride,

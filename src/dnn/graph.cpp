@@ -36,28 +36,6 @@ std::int64_t Graph::total_params() const noexcept {
   return s;
 }
 
-std::int64_t Graph::total_mem_bytes() const noexcept {
-  std::int64_t s = 0;
-  for (const Layer& l : layers_) s += l.mem_bytes;
-  return s;
-}
-
-std::size_t Graph::residual_count() const noexcept {
-  return count_of(OpType::kAdd);
-}
-
-std::size_t Graph::concat_count() const noexcept {
-  return count_of(OpType::kConcat);
-}
-
-std::size_t Graph::branch_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& cons : consumers_) {
-    if (cons.size() > 1) ++n;
-  }
-  return n;
-}
-
 std::size_t Graph::depth() const {
   // Layers are topologically ordered, so one forward pass suffices.
   std::vector<std::size_t> dist(layers_.size(), 0);
@@ -69,12 +47,6 @@ std::size_t Graph::depth() const {
     best = std::max(best, dist[id]);
   }
   return best;
-}
-
-std::size_t Graph::count_of(OpType t) const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(layers_.begin(), layers_.end(),
-                    [t](const Layer& l) { return l.type == t; }));
 }
 
 std::int64_t Graph::batch_size() const noexcept {

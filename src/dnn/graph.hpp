@@ -18,6 +18,12 @@ namespace powerlens::dnn {
 
 using NodeId = std::size_t;
 
+// Largest graph the planner accepts. The distance stage leases an n x n
+// matrix of doubles, so this caps that lease at 512 MiB. Graph records
+// over it fail to decode (io::MalformedError) and PowerLens::optimize
+// rejects them (std::invalid_argument).
+inline constexpr std::size_t kMaxGraphLayers = 8192;
+
 class Graph {
  public:
   Graph() = default;
@@ -44,18 +50,9 @@ class Graph {
 
   std::int64_t total_flops() const noexcept;
   std::int64_t total_params() const noexcept;
-  std::int64_t total_mem_bytes() const noexcept;
 
-  // Number of kAdd joins (residual connections).
-  std::size_t residual_count() const noexcept;
-  // Number of kConcat joins (branching merge points).
-  std::size_t concat_count() const noexcept;
-  // Number of nodes whose output feeds more than one consumer.
-  std::size_t branch_count() const noexcept;
   // Longest producer->consumer path length (network depth).
   std::size_t depth() const;
-  // Count of layers of a given type.
-  std::size_t count_of(OpType t) const noexcept;
 
   // The batch size of the graph's input layer (0 if the graph is empty).
   std::int64_t batch_size() const noexcept;

@@ -98,16 +98,4 @@ double FaultInjector::layer_latency_factor(std::size_t layer_ordinal) {
   return 1.0;
 }
 
-FaultyDvfsDriver::FaultyDvfsDriver(hw::DvfsDriver& inner,
-                                   const FaultSpec& spec,
-                                   std::uint64_t stream_seed)
-    : inner_(&inner), injector_(spec, stream_seed) {}
-
-bool FaultyDvfsDriver::set_gpu_level(std::size_t level) {
-  if (injector_.dvfs_request_fails(requests_++, time_s_)) {
-    return false;
-  }
-  return inner_->set_gpu_level(level);
-}
-
 }  // namespace powerlens::fault

@@ -14,7 +14,6 @@
 #pragma once
 
 #include "fault/fault_spec.hpp"
-#include "hw/dvfs_driver.hpp"
 #include "hw/fault_hooks.hpp"
 
 #include <cstdint>
@@ -57,36 +56,6 @@ class FaultInjector final : public hw::FaultModel {
   double th_next_start_ = 0.0;
   std::size_t th_index_ = 0;  // draw index of the next inter-arrival gap
   bool th_initialized_ = false;
-};
-
-// DvfsDriver decorator injecting actuation failures in front of any inner
-// driver (sim or sysfs) — the deployment-seam counterpart of the engine
-// hooks. The caller advances the fault clock with set_time() so sticky
-// windows apply; a failed request returns false without touching the inner
-// driver.
-class FaultyDvfsDriver final : public hw::DvfsDriver {
- public:
-  FaultyDvfsDriver(hw::DvfsDriver& inner, const FaultSpec& spec,
-                   std::uint64_t stream_seed);
-
-  // Advances the (caller-owned) clock the sticky windows are measured on.
-  void set_time(double time_s) noexcept { time_s_ = time_s; }
-
-  bool set_gpu_level(std::size_t level) override;
-  std::size_t gpu_level() const noexcept override {
-    return inner_->gpu_level();
-  }
-  std::string_view name() const noexcept override { return "faulty"; }
-
-  const hw::FaultCounters& counters() const noexcept {
-    return injector_.counters();
-  }
-
- private:
-  hw::DvfsDriver* inner_;  // non-owning
-  FaultInjector injector_;
-  double time_s_ = 0.0;
-  std::size_t requests_ = 0;
 };
 
 }  // namespace powerlens::fault

@@ -45,29 +45,4 @@ linalg::Matrix DepthwiseFeatureExtractor::extract(const dnn::Graph& graph) {
   return table;
 }
 
-std::string_view DepthwiseFeatureExtractor::feature_name(std::size_t i) {
-  switch (i) {
-    case kLogFlops: return "log_flops";
-    case kLogParams: return "log_params";
-    case kLogMemBytes: return "log_mem_bytes";
-    case kLogArithmeticIntensity: return "log_arith_intensity";
-    case kLogInChannels: return "log_in_channels";
-    case kLogOutChannels: return "log_out_channels";
-    case kLogFmapH: return "log_fmap_h";
-    case kLogFmapW: return "log_fmap_w";
-    case kKernelH: return "kernel_h";
-    case kKernelW: return "kernel_w";
-    case kStride: return "stride";
-    case kLogGroups: return "log_groups";
-    case kAttnHeads: return "attn_heads";
-    case kLogAttnHeadDim: return "log_attn_head_dim";
-    case kLogAttnSeqLen: return "log_attn_seq_len";
-    default:
-      if (i >= kOpTypeOffset && i < kDepthwiseFeatureDim) {
-        return dnn::op_name(static_cast<dnn::OpType>(i - kOpTypeOffset));
-      }
-      return "unknown";
-  }
-}
-
 }  // namespace powerlens::features

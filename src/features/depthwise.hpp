@@ -14,7 +14,6 @@
 #include "linalg/matrix.hpp"
 
 #include <span>
-#include <string_view>
 #include <vector>
 
 namespace powerlens::features {
@@ -51,9 +50,6 @@ class DepthwiseFeatureExtractor {
   // Feature table of a whole graph: one row per layer, in execution order
   // (including the kInput row so row index == layer index).
   static linalg::Matrix extract(const dnn::Graph& graph);
-
-  // Name of feature column `i`, for debugging and docs.
-  static std::string_view feature_name(std::size_t i);
 };
 
 }  // namespace powerlens::features

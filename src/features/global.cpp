@@ -12,14 +12,6 @@ double safe_log1p(double v) { return std::log1p(std::max(v, 0.0)); }
 
 }  // namespace
 
-std::vector<double> GlobalFeatures::flat() const {
-  std::vector<double> out;
-  out.reserve(structural.size() + statistics.size());
-  out.insert(out.end(), structural.begin(), structural.end());
-  out.insert(out.end(), statistics.begin(), statistics.end());
-  return out;
-}
-
 GlobalFeatures GlobalFeatureExtractor::extract(const dnn::Graph& graph) {
   return extract(graph, 0, graph.size());
 }

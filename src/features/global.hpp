@@ -22,9 +22,6 @@ namespace powerlens::features {
 struct GlobalFeatures {
   std::vector<double> structural;
   std::vector<double> statistics;
-
-  // Concatenation, for consumers that do not stage their inputs.
-  std::vector<double> flat() const;
 };
 
 inline constexpr std::size_t kStructuralDim = 7 + dnn::kNumOpTypes;

@@ -1,12 +1,13 @@
 // Fault-injection seam of the simulated hardware.
 //
-// The engine, telemetry, and DVFS driver consult this interface at the
-// points where real embedded boards misbehave: clock-relock requests that
-// silently fail (and stay stuck for a window), thermal events that cap the
-// top of the GPU ladder, tegrastats samples that never arrive, and kernels
-// that transiently run slow under interference. The interface lives in hw
-// so the simulation layer has no dependency on any concrete fault model;
-// the seeded deterministic implementation is fault::FaultInjector.
+// The engine's DVFS requests, telemetry and layer timing consult this
+// interface at the points where real embedded boards misbehave:
+// clock-relock requests that silently fail (and stay stuck for a window),
+// thermal events that cap the top of the GPU ladder, tegrastats samples
+// that never arrive, and kernels that transiently run slow under
+// interference. The interface lives in hw so the simulation layer has no
+// dependency on any concrete fault model; the seeded deterministic
+// implementation is fault::FaultInjector.
 //
 // Contract: one FaultModel instance per simulator run. Query times are
 // non-decreasing within a run (the engine's clock only moves forward), and

@@ -465,8 +465,6 @@ ExecutionResult SimEngine::run_workload(std::span<const WorkItem> items,
         after.latency_inflated - faults_before.latency_inflated;
   }
   r.gpu_trace = std::move(st.trace);
-  r.power_samples.assign(st.telemetry.samples().begin(),
-                         st.telemetry.samples().end());
   r.item_marks = std::move(item_marks);
 
   // Aggregate run accounting in the global registry — one registry lookup

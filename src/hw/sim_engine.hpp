@@ -99,7 +99,7 @@ struct ExecutionResult {
   double telemetry_energy_j = 0.0;
   // Telemetry-rail view of the run: sample mean and maximum (0 when every
   // sample was dropped). The serving layer's journal/residual accounting
-  // reads these instead of re-deriving them from power_samples.
+  // reads these.
   double telemetry_mean_power_w = 0.0;
   double telemetry_peak_power_w = 0.0;
   // Faults injected during this run (zero when RunPolicy::faults is null).
@@ -108,7 +108,6 @@ struct ExecutionResult {
   // level, already included in time_s.
   double thermal_throttled_s = 0.0;
   std::vector<FreqTracePoint> gpu_trace;  // level changes (incl. initial)
-  std::vector<PowerSample> power_samples; // tegrastats-style trace
   std::vector<WorkItemMark> item_marks;   // one per work item, in order
 
   double avg_power_w() const noexcept {

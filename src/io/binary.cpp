@@ -54,10 +54,6 @@ void Writer::str(std::string_view s) {
   for (char c : s) buf_.push_back(static_cast<std::byte>(c));
 }
 
-void Writer::bytes(std::span<const std::byte> b) {
-  buf_.insert(buf_.end(), b.begin(), b.end());
-}
-
 void Writer::pad_to(std::size_t align, std::size_t file_base) {
   while ((file_base + buf_.size()) % align != 0) {
     buf_.push_back(std::byte{0});
@@ -110,13 +106,6 @@ std::string Cursor::str() {
   }
   pos_ += n;
   return s;
-}
-
-std::span<const std::byte> Cursor::bytes(std::size_t n) {
-  need(n);
-  const std::span<const std::byte> out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
 }
 
 void Cursor::skip_to(std::size_t align, std::size_t file_base) {

@@ -41,7 +41,7 @@ inline constexpr std::array<unsigned char, 4> kMagic{'P', 'L', 'B', 'N'};
 inline constexpr std::uint16_t kFormatVersion = 1;
 inline constexpr std::size_t kHeaderSize = 24;
 // Cost-table payloads align their prefix-sum arrays to this boundary
-// (relative to the start of the file) so loads can be zero-copy mmap.
+// (relative to the start of the file).
 inline constexpr std::size_t kPageAlign = 4096;
 
 enum class RecordType : std::uint16_t {
@@ -66,7 +66,6 @@ class Writer {
   void f64(double v);        // IEEE-754 bit pattern
   // u32 byte length + raw bytes (no terminator).
   void str(std::string_view s);
-  void bytes(std::span<const std::byte> b);
   // Zero-pads so that (file_base + size()) is a multiple of `align`.
   // `file_base` is the payload's absolute offset in the final file.
   void pad_to(std::size_t align, std::size_t file_base);
@@ -90,7 +89,6 @@ class Cursor {
   std::int64_t i64();
   double f64();
   std::string str();
-  std::span<const std::byte> bytes(std::size_t n);
   // Skips padding so that (file_base + offset()) is a multiple of `align`.
   void skip_to(std::size_t align, std::size_t file_base);
 

@@ -1,7 +1,5 @@
 #include "io/interchange.hpp"
 
-#include <bit>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -102,6 +100,11 @@ dnn::Graph decode_graph_payload(std::span<const std::byte> payload) {
   Cursor c(payload);
   std::string name = c.str();
   const std::uint64_t n = c.count(kMinLayerBytes);
+  if (n > dnn::kMaxGraphLayers) {
+    throw MalformedError("graph has " + std::to_string(n) +
+                         " layers, over the limit of " +
+                         std::to_string(dnn::kMaxGraphLayers));
+  }
   std::vector<dnn::Layer> layers;
   layers.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -235,34 +238,6 @@ PlanRecord decode_plan_payload(std::span<const std::byte> payload) {
   return out;
 }
 
-// --- Cost-table payload ---
-
-struct CostTableMeta {
-  std::size_t num_layers = 0;
-  std::size_t gpu_levels = 0;
-  std::vector<std::size_t> cpu_slot;
-  std::size_t cpu_slots = 0;
-  std::size_t array_len = 0;
-};
-
-CostTableMeta decode_cost_table_meta(Cursor& c) {
-  CostTableMeta m;
-  m.num_layers = static_cast<std::size_t>(c.u64());
-  m.gpu_levels = static_cast<std::size_t>(c.u64());
-  const std::uint64_t ladder = c.count(8);
-  m.cpu_slot.reserve(ladder);
-  for (std::uint64_t i = 0; i < ladder; ++i) {
-    m.cpu_slot.push_back(static_cast<std::size_t>(c.u64()));
-  }
-  m.cpu_slots = static_cast<std::size_t>(c.u64());
-  m.array_len = static_cast<std::size_t>(c.u64());
-  if (m.array_len !=
-      checked_mul(m.gpu_levels, m.cpu_slots, m.num_layers + 1)) {
-    throw MalformedError("cost table array length disagrees with dimensions");
-  }
-  return m;
-}
-
 }  // namespace
 
 // --- Graph records ---
@@ -302,10 +277,6 @@ PlanRecord decode_plan(std::span<const std::byte> record) {
 void save_plan(const std::string& path, const core::OptimizationPlan& plan,
                std::uint64_t graph_signature) {
   write_file(path, encode_plan(plan, graph_signature));
-}
-
-PlanRecord load_plan(const std::string& path) {
-  return decode_plan(read_file(path));
 }
 
 void save_plan_snapshot(const std::string& path,
@@ -356,19 +327,31 @@ hw::CostTable decode_cost_table(std::span<const std::byte> record) {
   const RecordView view = parse_record(record, RecordType::kCostTable);
   expect_single_record(view, record);
   Cursor c(view.payload);
-  CostTableMeta meta = decode_cost_table_meta(c);
+  const auto num_layers = static_cast<std::size_t>(c.u64());
+  const auto gpu_levels = static_cast<std::size_t>(c.u64());
+  const std::uint64_t ladder = c.count(8);
+  std::vector<std::size_t> cpu_slot;
+  cpu_slot.reserve(ladder);
+  for (std::uint64_t i = 0; i < ladder; ++i) {
+    cpu_slot.push_back(static_cast<std::size_t>(c.u64()));
+  }
+  const auto cpu_slots = static_cast<std::size_t>(c.u64());
+  const auto array_len = static_cast<std::size_t>(c.u64());
+  if (array_len != checked_mul(gpu_levels, cpu_slots, num_layers + 1)) {
+    throw MalformedError("cost table array length disagrees with dimensions");
+  }
   c.skip_to(kPageAlign, kHeaderSize);
-  if (meta.array_len > c.remaining() / 16) {
+  if (array_len > c.remaining() / 16) {
     throw TruncatedError("cost table arrays extend past the payload");
   }
-  std::vector<double> time(meta.array_len);
-  std::vector<double> energy(meta.array_len);
+  std::vector<double> time(array_len);
+  std::vector<double> energy(array_len);
   for (double& v : time) v = c.f64();
   for (double& v : energy) v = c.f64();
   c.expect_done("cost table payload");
   return as_malformed("cost table", [&] {
-    return hw::CostTable::from_parts(meta.num_layers, meta.gpu_levels,
-                                     std::move(meta.cpu_slot), meta.cpu_slots,
+    return hw::CostTable::from_parts(num_layers, gpu_levels,
+                                     std::move(cpu_slot), cpu_slots,
                                      std::move(time), std::move(energy));
   });
 }
@@ -377,53 +360,8 @@ void save_cost_table(const std::string& path, const hw::CostTable& table) {
   write_file(path, encode_cost_table(table));
 }
 
-LoadedCostTable load_cost_table(const std::string& path, bool allow_mmap) {
-  LoadedCostTable out;
-  out.mapping = MappedFile::map(path, allow_mmap);
-  const std::span<const std::byte> bytes = out.mapping.bytes();
-  const RecordView view = parse_record(bytes, RecordType::kCostTable);
-  if (view.total_size != bytes.size()) {
-    throw MalformedError("trailing bytes after the record");
-  }
-  Cursor c(view.payload);
-  CostTableMeta meta = decode_cost_table_meta(c);
-  c.skip_to(kPageAlign, kHeaderSize);
-  if (meta.array_len > c.remaining() / 16) {
-    throw TruncatedError("cost table arrays extend past the payload");
-  }
-  const std::size_t arrays_offset = kHeaderSize + c.offset();
-  const bool aligned =
-      reinterpret_cast<std::uintptr_t>(bytes.data() + arrays_offset) %
-          alignof(double) ==
-      0;
-  if (out.mapping.mapped() && aligned &&
-      std::endian::native == std::endian::little) {
-    // Zero-copy: the table's spans read straight out of the mapping. The
-    // on-disk doubles are little-endian IEEE-754 bit patterns, which on a
-    // little-endian host are exactly the in-memory representation.
-    const double* time =
-        reinterpret_cast<const double*>(bytes.data() + arrays_offset);
-    const double* energy = time + meta.array_len;
-    out.table = as_malformed("cost table", [&] {
-      return hw::CostTable::from_view(
-          meta.num_layers, meta.gpu_levels, std::move(meta.cpu_slot),
-          meta.cpu_slots, std::span<const double>(time, meta.array_len),
-          std::span<const double>(energy, meta.array_len));
-    });
-    out.mmapped = true;
-    return out;
-  }
-  std::vector<double> time(meta.array_len);
-  std::vector<double> energy(meta.array_len);
-  for (double& v : time) v = c.f64();
-  for (double& v : energy) v = c.f64();
-  out.table = as_malformed("cost table", [&] {
-    return hw::CostTable::from_parts(meta.num_layers, meta.gpu_levels,
-                                     std::move(meta.cpu_slot), meta.cpu_slots,
-                                     std::move(time), std::move(energy));
-  });
-  out.mmapped = false;
-  return out;
+hw::CostTable load_cost_table(const std::string& path) {
+  return decode_cost_table(read_file(path));
 }
 
 // --- Inspection + fuzzing ---

@@ -160,11 +160,6 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
   table().gemm_tn(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
 }
 
-void gemv(std::size_t m, std::size_t n, const double* a, std::size_t lda,
-          const double* x, double* y, bool accumulate) {
-  table().gemv(m, n, a, lda, x, y, accumulate);
-}
-
 void affine(std::size_t batch, std::size_t n, std::size_t k, const double* x,
             std::size_t ldx, const double* w, std::size_t ldw,
             const double* bias, double* out, std::size_t ldo, bool relu) {
@@ -228,13 +223,6 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
           b.data().data(), b.cols(), out.data().data(), out.cols());
 }
 
-void matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  check_inner(a.cols(), b.cols(), "matmul_nt_into");
-  out.reshape(a.rows(), b.rows());
-  gemm_nt(a.rows(), b.rows(), a.cols(), a.data().data(), a.cols(),
-          b.data().data(), b.cols(), out.data().data(), out.cols());
-}
-
 void matmul_tn_into(const Matrix& a, const Matrix& b, Matrix& out,
                     bool accumulate) {
   check_inner(a.rows(), b.rows(), "matmul_tn_into");
@@ -253,18 +241,6 @@ void matmul_tn_into(const Matrix& a, const Matrix& b, Matrix& out,
 Matrix matmul(const Matrix& a, const Matrix& b) {
   Matrix out;
   matmul_into(a, b, out);
-  return out;
-}
-
-Matrix matmul_nt(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  matmul_nt_into(a, b, out);
-  return out;
-}
-
-Matrix matmul_tn(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  matmul_tn_into(a, b, out);
   return out;
 }
 

@@ -2,7 +2,7 @@
 // every dense computation in the reproduction funnels through.
 //
 // Scope: double-precision GEMM in the three orientations the codebase needs
-// (A·B, A·Bᵀ, Aᵀ·B), GEMV, a fused affine(+ReLU) kernel for the dense layers
+// (A·B, A·Bᵀ, Aᵀ·B), a fused affine(+ReLU) kernel for the dense layers
 // of the prediction models, and column sums. Dimensions in this project are
 // tens-to-hundreds, so the kernels block for cache reuse and tile output
 // patches across registers. Since PR 6 there are three interchangeable
@@ -19,7 +19,7 @@
 //     identical results. Two fixed shapes exist:
 //
 //     - Kernels whose reduction axis is contiguous in both operands
-//       (gemm_nt, affine, gemv) use a fixed kLanes=4 accumulator tree: lane
+//       (gemm_nt, affine) use a fixed kLanes=4 accumulator tree: lane
 //       l accumulates the products with reduction index p ≡ l (mod 4) in
 //       ascending p, and the lanes combine in the fixed order
 //       (l0 + l1) + (l2 + l3). The lane width is a compile-time constant of
@@ -41,7 +41,7 @@
 //     are never derived from the thread count, the environment, the input
 //     values, or the host CPU. Changing which DISPATCH PATH runs never
 //     changes a bit of output; changing the CONTRACT (as PR 6 did, moving
-//     gemm_nt/affine/gemv from one ascending accumulator to the 4-lane
+//     gemm_nt/affine from one ascending accumulator to the 4-lane
 //     tree) is a deliberate re-baselining event for the golden files.
 //
 //   * All kernel maths is compiled with -ffp-contract=off (top-level
@@ -121,11 +121,6 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc, bool accumulate = false);
-
-// y (m) = A (m x n, lda) · x (n), or += when `accumulate` (existing y joins
-// after the tree). Fixed 4-lane tree per element.
-void gemv(std::size_t m, std::size_t n, const double* a, std::size_t lda,
-          const double* x, double* y, bool accumulate = false);
 
 // Fused dense-layer forward: out (batch x n) = X (batch x k, ldx) · Wᵀ + b,
 // with W (n x k, ldw) in output-major layout and optional ReLU applied in
@@ -249,14 +244,10 @@ void cost_plane_fill(std::size_t layers, const double* flops,
 
 // out = a · b. `out` is reshaped; must not alias an operand.
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
-// out = a · bᵀ.
-void matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& out);
 // out (+)= aᵀ · b.
 void matmul_tn_into(const Matrix& a, const Matrix& b, Matrix& out,
                     bool accumulate = false);
 
 Matrix matmul(const Matrix& a, const Matrix& b);
-Matrix matmul_nt(const Matrix& a, const Matrix& b);
-Matrix matmul_tn(const Matrix& a, const Matrix& b);
 
 }  // namespace powerlens::linalg::kernels

@@ -75,8 +75,6 @@ struct KernelTable {
   void (*gemm_tn)(std::size_t m, std::size_t n, std::size_t k, const double* a,
                   std::size_t lda, const double* b, std::size_t ldb, double* c,
                   std::size_t ldc, bool accumulate);
-  void (*gemv)(std::size_t m, std::size_t n, const double* a, std::size_t lda,
-               const double* x, double* y, bool accumulate);
   void (*col_sums)(std::size_t m, std::size_t n, const double* g,
                    std::size_t ldg, double* out, bool accumulate);
   // `at` is k x n caller scratch (clobbered): the kernel transposes A into
@@ -364,38 +362,6 @@ void gemm_tn_body(std::size_t m, std::size_t n, std::size_t k, const double* a,
       if (n == 0) break;
     }
     if (k == 0) break;
-  }
-}
-
-// y = A · x. Fixed 4-lane tree per row; the x vector load is shared across
-// a quad of rows. Existing y joins after the tree when accumulating.
-template <class Ops>
-void gemv_body(std::size_t m, std::size_t n, const double* a, std::size_t lda,
-               const double* x, double* y, bool accumulate) {
-  using Vec = typename Ops::Vec;
-  const std::size_t n4 = n & ~std::size_t{3};
-  std::size_t i = 0;
-  for (; i + kRegRows <= m; i += kRegRows) {
-    const double* ar[kRegRows] = {a + (i + 0) * lda, a + (i + 1) * lda,
-                                  a + (i + 2) * lda, a + (i + 3) * lda};
-    Vec acc[kRegRows];
-    for (std::size_t r = 0; r < kRegRows; ++r) acc[r] = Ops::zero();
-    for (std::size_t p = 0; p < n4; p += 4) {
-      const Vec xv = Ops::load(x + p);
-      for (std::size_t r = 0; r < kRegRows; ++r) {
-        acc[r] = Ops::mul_add(acc[r], Ops::load(ar[r] + p), xv);
-      }
-    }
-    for (std::size_t r = 0; r < kRegRows; ++r) {
-      double v = lane_finish<Ops>(acc[r], ar[r], x, n4, n);
-      if (accumulate) v += y[i + r];
-      y[i + r] = v;
-    }
-  }
-  for (; i < m; ++i) {
-    double v = lane_dot<Ops>(a + i * lda, x, n);
-    if (accumulate) v += y[i];
-    y[i] = v;
   }
 }
 
@@ -794,7 +760,6 @@ constexpr KernelTable make_table(DispatchPath path, const char* name) {
                      &gemm_nn_body<Ops>,
                      &gemm_nt_fused_body<Ops>,
                      &gemm_tn_body<Ops>,
-                     &gemv_body<Ops>,
                      &col_sums_body<Ops>,
                      &syrk_nt_body<Ops>,
                      &dist_blend_adj_body<Ops>,

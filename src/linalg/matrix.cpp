@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace powerlens::linalg {
@@ -52,28 +51,9 @@ void Matrix::reshape_no_fill(std::size_t rows, std::size_t cols) {
   if (data_.size() != rows * cols) data_.resize(rows * cols);
 }
 
-void Matrix::fill(double value) noexcept {
-  for (double& v : data_) v = value;
-}
-
 double& Matrix::at(std::size_t r, std::size_t c) {
   if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
   return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(r, c);
-}
-
-std::span<const double> Matrix::row(std::size_t r) const {
-  if (r >= rows_) throw std::out_of_range("Matrix::row");
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::span<double> Matrix::row(std::size_t r) {
-  if (r >= rows_) throw std::out_of_range("Matrix::row");
-  return {data_.data() + r * cols_, cols_};
 }
 
 Matrix Matrix::transposed() const {
@@ -124,35 +104,6 @@ double Matrix::frobenius_norm() const noexcept {
   double s = 0.0;
   for (double v : data_) s += v * v;
   return std::sqrt(s);
-}
-
-std::string Matrix::to_string() const {
-  std::ostringstream os;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    os << (r == 0 ? "[" : " ");
-    for (std::size_t c = 0; c < cols_; ++c) {
-      os << (*this)(r, c) << (c + 1 == cols_ ? "" : ", ");
-    }
-    os << (r + 1 == rows_ ? "]" : "\n");
-  }
-  return os.str();
-}
-
-std::vector<double> mat_vec(const Matrix& m, std::span<const double> x) {
-  if (x.size() != m.cols()) {
-    throw std::invalid_argument("mat_vec: dimension mismatch");
-  }
-  std::vector<double> y(m.rows(), 0.0);
-  kernels::gemv(m.rows(), m.cols(), m.data().data(), m.cols(), x.data(),
-                y.data());
-  return y;
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) throw std::invalid_argument("dot: length mismatch");
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
 }
 
 }  // namespace powerlens::linalg

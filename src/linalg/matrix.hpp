@@ -12,7 +12,6 @@
 #include <memory>
 #include <new>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -75,8 +74,6 @@ class Matrix {
   // whose consumed region is fully overwritten next — skips the
   // O(rows·cols) refill reshape() pays.
   void reshape_no_fill(std::size_t rows, std::size_t cols);
-  // Sets every element to `value` without changing the shape.
-  void fill(double value) noexcept;
 
   double& operator()(std::size_t r, std::size_t c) noexcept {
     return data_[r * cols_ + c];
@@ -86,10 +83,7 @@ class Matrix {
   }
   // Bounds-checked access; throws std::out_of_range.
   double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
 
-  std::span<const double> row(std::size_t r) const;
-  std::span<double> row(std::size_t r);
   std::span<const double> data() const noexcept { return data_; }
   std::span<double> data() noexcept { return data_; }
 
@@ -115,18 +109,10 @@ class Matrix {
   // Frobenius norm.
   double frobenius_norm() const noexcept;
 
-  std::string to_string() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double, detail::NoFillAllocator<double>> data_;
 };
-
-// y = M * x; throws std::invalid_argument if x.size() != M.cols().
-std::vector<double> mat_vec(const Matrix& m, std::span<const double> x);
-
-// Dot product; throws std::invalid_argument on length mismatch.
-double dot(std::span<const double> a, std::span<const double> b);
 
 }  // namespace powerlens::linalg

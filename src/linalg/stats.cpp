@@ -101,20 +101,6 @@ void StandardScaler::transform_into(const Matrix& samples, Matrix& out) const {
   }
 }
 
-std::vector<double> StandardScaler::transform_row(
-    std::span<const double> row) const {
-  if (!fitted()) throw std::logic_error("StandardScaler: transform before fit");
-  if (row.size() != means_.size()) {
-    throw std::invalid_argument("StandardScaler: feature-count mismatch");
-  }
-  std::vector<double> out(row.size());
-  for (std::size_t c = 0; c < row.size(); ++c) {
-    out[c] = stddevs_[c] > kMinStddev ? (row[c] - means_[c]) / stddevs_[c]
-                                      : 0.0;
-  }
-  return out;
-}
-
 Matrix StandardScaler::fit_transform(const Matrix& samples) {
   fit(samples);
   return transform(samples);

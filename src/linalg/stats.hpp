@@ -40,7 +40,6 @@ class StandardScaler {
   // Same, into a caller-owned matrix (reshaped). Elementwise, so `out` may
   // alias `samples` for an in-place transform of an equal-shaped matrix.
   void transform_into(const Matrix& samples, Matrix& out) const;
-  std::vector<double> transform_row(std::span<const double> row) const;
 
   Matrix fit_transform(const Matrix& samples);
 

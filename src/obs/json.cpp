@@ -29,13 +29,6 @@ void append_json_escaped(std::string& out, std::string_view s) {
   }
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  append_json_escaped(out, s);
-  return out;
-}
-
 void append_json_number(std::string& out, double v) {
   if (!std::isfinite(v)) v = 0.0;
   char buf[32];

@@ -16,8 +16,6 @@ namespace powerlens::obs {
 // Appends `s` escaped for use inside a JSON string literal (no quotes).
 void append_json_escaped(std::string& out, std::string_view s);
 
-std::string json_escape(std::string_view s);
-
 // Appends `v` as a valid JSON number. Non-finite values become 0 — use
 // only where 0 is an honest stand-in (counter tracks, histogram sums);
 // report fields where 0 would read as a perfect measurement should use

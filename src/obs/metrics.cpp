@@ -179,14 +179,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   return *entry(name, Kind::kHistogram, help, bounds).histogram;
 }
 
-std::vector<std::string> MetricsRegistry::names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, e] : entries_) out.push_back(name);
-  return out;
-}
-
 void MetricsRegistry::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\n  \"counters\": {";

@@ -130,9 +130,6 @@ class MetricsRegistry {
   Histogram& histogram(std::string_view name, std::span<const double> bounds,
                        std::string_view help = {});
 
-  // Registered metric names in export (lexicographic) order.
-  std::vector<std::string> names() const;
-
   void write_json(std::ostream& os) const;
   void write_prometheus(std::ostream& os) const;
 

@@ -113,20 +113,6 @@ Residuals::Stats Residuals::by_model(std::string_view policy,
   return it != by_model_.end() ? it->second : Stats{};
 }
 
-Residuals::Stats Residuals::by_signature(std::string_view policy,
-                                         std::string_view model,
-                                         std::uint64_t plan_signature) const {
-  const std::string key = signature_key(policy, model, plan_signature);
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_signature_.find(key);
-  return it != by_signature_.end() ? it->second : Stats{};
-}
-
-Residuals::Stats Residuals::overall() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return overall_;
-}
-
 std::uint64_t Residuals::scored() const {
   std::lock_guard<std::mutex> lock(mu_);
   return scored_;

@@ -78,9 +78,6 @@ class Residuals {
 
   // Copies of one key's stats (nullopt-like: count == 0 when absent).
   Stats by_model(std::string_view policy, std::string_view model) const;
-  Stats by_signature(std::string_view policy, std::string_view model,
-                     std::uint64_t plan_signature) const;
-  Stats overall() const;
 
   std::uint64_t scored() const;
   // Model- and signature-level drift flags, counted separately: a drifting

@@ -219,10 +219,6 @@ std::vector<std::pair<std::uint64_t, PlanCache::PlanPtr>> PlanCache::snapshot()
   return out;
 }
 
-PlanCache::PlanPtr PlanCache::lookup(const dnn::Graph& graph) const {
-  return lookup(graph_signature(graph));
-}
-
 PlanCache::PlanPtr PlanCache::lookup(std::uint64_t sig) const {
   Shard& shard = shard_for(sig);
   const std::lock_guard<std::mutex> lock(shard.mu);

@@ -89,8 +89,6 @@ class PlanCache {
   // otherwise. Counts only probe_hits (never hits/misses) and does not
   // refresh recency.
   PlanPtr lookup(std::uint64_t signature) const;
-  // Graph-keyed form: hashes `graph`, then forwards.
-  PlanPtr lookup(const dnn::Graph& graph) const;
 
   // Snapshot warm start (src/io plan snapshots): installs a plan under a
   // precomputed signature without touching the hit/miss counters — a

@@ -37,6 +37,8 @@ constexpr double kUsPerS = 1e6;
 constexpr int kDeviceTid = 0;  // per-request spans on the device timeline
 constexpr int kQueueTid = 1;   // in-system depth counter + rejections
 constexpr int kWaitTid = 2;    // async queue-wait spans (overlapping)
+// Capacity of the host-side dispatch queue (backpressure only).
+constexpr std::size_t kDispatchDepth = 64;
 
 // Journal seq slots per request: 0 = the run header (task 0 only), 1 = the
 // fold's request record, 2 + attempt = each worker-side execution attempt.
@@ -85,9 +87,6 @@ Server::Server(const hw::Platform& platform,
       throw std::invalid_argument("Server: deployed model '" + m.name +
                                   "' has an empty graph");
     }
-  }
-  if (config_.dispatch_depth == 0) {
-    throw std::invalid_argument("Server: dispatch_depth must be positive");
   }
   config_.faults.validate();
   if (config_.degrade.backoff_base_s < 0.0 ||
@@ -193,7 +192,7 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
     }
   }
 
-  BoundedQueue<std::size_t> queue(config_.dispatch_depth);
+  BoundedQueue<std::size_t> queue(kDispatchDepth);
   std::mutex error_mu;
   std::exception_ptr first_error;
 

@@ -119,8 +119,6 @@ struct ServerConfig {
   // only; reactive streams are inherently sequential). Results are
   // invariant to this value.
   std::size_t num_workers = 1;
-  // Capacity of the host-side dispatch queue (backpressure only).
-  std::size_t dispatch_depth = 64;
   // Admission control: maximum tasks in system (waiting + in service) on
   // the simulated clock; arrivals beyond it are rejected. 0 = unbounded.
   // Plan policies only — see the header comment.

@@ -183,7 +183,7 @@ TEST(ClusterPropertiesTest, DbscanInvariantToInputPermutation) {
     params.eps = std::uniform_real_distribution<double>(0.1, 0.6)(rng);
     params.min_pts = 1 + seed % 3;
 
-    const std::vector<int> labels = dbscan(d, params);
+    const std::vector<int> labels = oracle::dbscan_csr(d, params);
     const PointKinds kinds = classify(d, params);
 
     // Random relabeling: permuted[i] describes original point perm[i].
@@ -196,7 +196,7 @@ TEST(ClusterPropertiesTest, DbscanInvariantToInputPermutation) {
         pd(i, j) = d(perm[i], perm[j]);
       }
     }
-    const std::vector<int> plabels = dbscan(pd, params);
+    const std::vector<int> plabels = oracle::dbscan_csr(pd, params);
 
     // Pull the permuted labels back into original point order.
     std::vector<int> pulled(n, kNoise);
@@ -273,17 +273,17 @@ TEST(ClusterPropertiesTest, DbscanDegenerateRadii) {
     // eps below every off-diagonal distance: every point is its own
     // min_pts=1 cluster; with min_pts > 1, everything is noise.
     DbscanParams tiny{1e-6, 2};
-    const std::vector<int> all_noise = dbscan(d, tiny);
+    const std::vector<int> all_noise = oracle::dbscan_csr(d, tiny);
     for (const int label : all_noise) EXPECT_EQ(label, kNoise);
     tiny.min_pts = 1;
-    const std::vector<int> singletons = dbscan(d, tiny);
+    const std::vector<int> singletons = oracle::dbscan_csr(d, tiny);
     std::set<int> distinct(singletons.begin(), singletons.end());
     EXPECT_EQ(distinct.size(), n);
     EXPECT_FALSE(distinct.count(kNoise));
 
     // eps above every distance: one cluster holds everything.
     const DbscanParams huge{2.0, std::min<std::size_t>(n, 3)};
-    const std::vector<int> one = dbscan(d, huge);
+    const std::vector<int> one = oracle::dbscan_csr(d, huge);
     for (const int label : one) EXPECT_EQ(label, 0);
   }
 }

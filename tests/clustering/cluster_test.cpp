@@ -81,7 +81,8 @@ TEST(BuildPowerView, PrecomputedDistancesMatchDirectPath) {
   const linalg::Matrix features =
       features::DepthwiseFeatureExtractor::extract(g);
   const linalg::Matrix dist = oracle::power_distances(features, cfg.distance);
-  const PowerView via = build_power_view_from_distances(dist, cfg.hyper);
+  const PowerView via = build_power_view_from_adjacency(
+      dist, EpsAdjacency::from_distances(dist, cfg.hyper.eps), cfg.hyper);
   ASSERT_EQ(direct.block_count(), via.block_count());
   for (std::size_t i = 0; i < direct.block_count(); ++i) {
     EXPECT_EQ(direct.blocks()[i], via.blocks()[i]);

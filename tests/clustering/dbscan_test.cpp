@@ -15,6 +15,7 @@ namespace powerlens::clustering {
 namespace {
 
 using linalg::Matrix;
+using oracle::dbscan_csr;
 using oracle::dbscan_reference;
 
 // Distance matrix for points on a line.
@@ -61,7 +62,7 @@ Matrix random_distances(std::size_t n, std::uint64_t seed) {
 
 TEST(Dbscan, TwoWellSeparatedClusters) {
   const Matrix d = line_distances({0.0, 0.1, 0.2, 10.0, 10.1, 10.2});
-  const std::vector<int> labels = dbscan(d, {0.5, 2});
+  const std::vector<int> labels = dbscan_csr(d, {0.5, 2});
   EXPECT_EQ(labels[0], labels[1]);
   EXPECT_EQ(labels[1], labels[2]);
   EXPECT_EQ(labels[3], labels[4]);
@@ -72,7 +73,7 @@ TEST(Dbscan, TwoWellSeparatedClusters) {
 
 TEST(Dbscan, IsolatedPointIsNoise) {
   const Matrix d = line_distances({0.0, 0.1, 0.2, 100.0});
-  const std::vector<int> labels = dbscan(d, {0.5, 2});
+  const std::vector<int> labels = dbscan_csr(d, {0.5, 2});
   EXPECT_EQ(labels[3], kNoise);
 }
 
@@ -81,7 +82,7 @@ TEST(Dbscan, ChainExpandsThroughCorePoints) {
   // connects into one cluster through density reachability.
   std::vector<double> pts;
   for (int i = 0; i < 10; ++i) pts.push_back(0.4 * i);
-  const std::vector<int> labels = dbscan(line_distances(pts), {0.5, 2});
+  const std::vector<int> labels = dbscan_csr(line_distances(pts), {0.5, 2});
   for (int l : labels) EXPECT_EQ(l, labels[0]);
   EXPECT_NE(labels[0], kNoise);
 }
@@ -89,16 +90,16 @@ TEST(Dbscan, ChainExpandsThroughCorePoints) {
 TEST(Dbscan, MinPtsControlsCoreDefinition) {
   const Matrix d = line_distances({0.0, 0.1, 5.0, 5.1});
   // Pairs of two; with min_pts 2 (point + one neighbor) both pairs cluster.
-  const std::vector<int> loose = dbscan(d, {0.5, 2});
+  const std::vector<int> loose = dbscan_csr(d, {0.5, 2});
   EXPECT_NE(loose[0], kNoise);
   // With min_pts 3 nobody is core.
-  const std::vector<int> strict = dbscan(d, {0.5, 3});
+  const std::vector<int> strict = dbscan_csr(d, {0.5, 3});
   for (int l : strict) EXPECT_EQ(l, kNoise);
 }
 
 TEST(Dbscan, AllPointsOneClusterWithLargeEps) {
   const Matrix d = line_distances({0.0, 1.0, 2.0, 3.0});
-  const std::vector<int> labels = dbscan(d, {100.0, 2});
+  const std::vector<int> labels = dbscan_csr(d, {100.0, 2});
   std::set<int> unique(labels.begin(), labels.end());
   EXPECT_EQ(unique.size(), 1u);
 }
@@ -107,7 +108,7 @@ TEST(Dbscan, BorderPointJoinsCluster) {
   // Points 0, 0.4, 0.8: with eps 0.5 and min_pts 3, only the middle point is
   // core (3 neighbors incl. self); the ends are border points of its cluster.
   const Matrix d = line_distances({0.0, 0.4, 0.8});
-  const std::vector<int> labels = dbscan(d, {0.5, 3});
+  const std::vector<int> labels = dbscan_csr(d, {0.5, 3});
   EXPECT_EQ(labels[0], labels[1]);
   EXPECT_EQ(labels[2], labels[1]);
   EXPECT_NE(labels[1], kNoise);
@@ -115,7 +116,7 @@ TEST(Dbscan, BorderPointJoinsCluster) {
 
 TEST(Dbscan, LabelsAreContiguousFromZero) {
   const Matrix d = line_distances({0.0, 0.1, 10.0, 10.1, 20.0, 20.1});
-  const std::vector<int> labels = dbscan(d, {0.5, 2});
+  const std::vector<int> labels = dbscan_csr(d, {0.5, 2});
   std::set<int> unique(labels.begin(), labels.end());
   EXPECT_TRUE(unique.count(0));
   EXPECT_TRUE(unique.count(1));
@@ -124,22 +125,22 @@ TEST(Dbscan, LabelsAreContiguousFromZero) {
 
 TEST(Dbscan, RejectsBadArguments) {
   const Matrix d = line_distances({0.0, 1.0});
-  EXPECT_THROW(dbscan(d, {0.0, 2}), std::invalid_argument);
-  EXPECT_THROW(dbscan(d, {0.5, 0}), std::invalid_argument);
-  EXPECT_THROW(dbscan(Matrix(2, 3), {0.5, 2}), std::invalid_argument);
-  EXPECT_THROW(dbscan(Matrix(), {0.5, 2}), std::invalid_argument);
+  EXPECT_THROW(dbscan_csr(d, {0.0, 2}), std::invalid_argument);
+  EXPECT_THROW(dbscan_csr(d, {0.5, 0}), std::invalid_argument);
+  EXPECT_THROW(dbscan_csr(Matrix(2, 3), {0.5, 2}), std::invalid_argument);
+  EXPECT_THROW(dbscan_csr(Matrix(), {0.5, 2}), std::invalid_argument);
 }
 
 TEST(Dbscan, DeterministicLabels) {
   const Matrix d = line_distances({0.0, 0.2, 0.4, 5.0, 5.2, 9.0});
-  const std::vector<int> a = dbscan(d, {0.5, 2});
-  const std::vector<int> b = dbscan(d, {0.5, 2});
+  const std::vector<int> a = dbscan_csr(d, {0.5, 2});
+  const std::vector<int> b = dbscan_csr(d, {0.5, 2});
   EXPECT_EQ(a, b);
 }
 
 // --- CSR fast path vs the dense reference implementation ---
 //
-// The production dbscan() now expands over an ε-threshold CSR adjacency
+// The production dbscan() expands over an ε-threshold CSR adjacency
 // with a frontier that never re-enqueues labeled points. These tests pin
 // its labels to dbscan_reference() (tests/support/distance_oracles.hpp),
 // the dense implementation kept as the oracle — field-exact equality, not
@@ -152,7 +153,7 @@ TEST(DbscanCsr, MatchesReferenceOnSeededRandomDatasets) {
       for (const std::size_t min_pts : {std::size_t{1}, std::size_t{2},
                                         std::size_t{4}, std::size_t{8}}) {
         const DbscanParams p{eps, min_pts};
-        EXPECT_EQ(dbscan(d, p), dbscan_reference(d, p))
+        EXPECT_EQ(dbscan_csr(d, p), dbscan_reference(d, p))
             << "seed=" << seed << " eps=" << eps << " min_pts=" << min_pts;
       }
     }
@@ -162,7 +163,7 @@ TEST(DbscanCsr, MatchesReferenceOnSeededRandomDatasets) {
 TEST(DbscanCsr, MatchesReferenceAllNoise) {
   const Matrix d = line_distances({0.0, 10.0, 20.0, 30.0, 40.0});
   const DbscanParams p{0.5, 2};
-  const std::vector<int> labels = dbscan(d, p);
+  const std::vector<int> labels = dbscan_csr(d, p);
   EXPECT_EQ(labels, dbscan_reference(d, p));
   for (int l : labels) EXPECT_EQ(l, kNoise);
 }
@@ -172,7 +173,7 @@ TEST(DbscanCsr, MatchesReferenceSingleCluster) {
   for (int i = 0; i < 20; ++i) pts.push_back(0.1 * i);
   const Matrix d = line_distances(pts);
   const DbscanParams p{0.5, 3};
-  const std::vector<int> labels = dbscan(d, p);
+  const std::vector<int> labels = dbscan_csr(d, p);
   EXPECT_EQ(labels, dbscan_reference(d, p));
   for (int l : labels) EXPECT_EQ(l, 0);
 }
@@ -186,7 +187,7 @@ TEST(DbscanCsr, MatchesReferenceDuplicatePoints) {
     for (const std::size_t min_pts :
          {std::size_t{2}, std::size_t{3}, std::size_t{5}}) {
       const DbscanParams p{eps, min_pts};
-      EXPECT_EQ(dbscan(d, p), dbscan_reference(d, p))
+      EXPECT_EQ(dbscan_csr(d, p), dbscan_reference(d, p))
           << "eps=" << eps << " min_pts=" << min_pts;
     }
   }
@@ -197,14 +198,7 @@ TEST(DbscanCsr, MatchesReferenceBorderAttribution) {
   // cluster reaches it first — order-sensitive, so it pins expansion order.
   const Matrix d = line_distances({0.0, 0.4, 0.8, 1.2, 1.6, 2.0, 2.4});
   const DbscanParams p{0.45, 3};
-  EXPECT_EQ(dbscan(d, p), dbscan_reference(d, p));
-}
-
-TEST(DbscanCsr, AdjacencyOverloadMatchesMatrixOverload) {
-  const Matrix d = random_distances(40, 77);
-  const DbscanParams p{0.5, 3};
-  const EpsAdjacency adj = EpsAdjacency::from_distances(d, p.eps);
-  EXPECT_EQ(dbscan(adj, p), dbscan(d, p));
+  EXPECT_EQ(dbscan_csr(d, p), dbscan_reference(d, p));
 }
 
 TEST(EpsAdjacency, RowsAreAscendingAndIncludeSelf) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 namespace powerlens::core {
@@ -13,11 +14,19 @@ namespace {
 
 TEST(HyperparamGrid, IndexRoundTrip) {
   const HyperparamGrid grid;
+  // Class i is (eps_values[i / |min_pts|], min_pts_values[i % |min_pts|]).
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(grid.index_of(grid.at(i)), i);
+    const clustering::ClusteringHyperparams hp = grid.at(i);
+    const auto e = std::ranges::find(grid.eps_values, hp.eps);
+    const auto m = std::ranges::find(grid.min_pts_values, hp.min_pts);
+    ASSERT_NE(e, grid.eps_values.end());
+    ASSERT_NE(m, grid.min_pts_values.end());
+    EXPECT_EQ(static_cast<std::size_t>(e - grid.eps_values.begin()) *
+                      grid.min_pts_values.size() +
+                  static_cast<std::size_t>(m - grid.min_pts_values.begin()),
+              i);
   }
   EXPECT_THROW(grid.at(grid.size()), std::out_of_range);
-  EXPECT_THROW(grid.index_of({123.0, 1}), std::invalid_argument);
 }
 
 TEST(HyperparamGrid, SizeIsProductOfAxes) {

@@ -15,7 +15,7 @@ hw::ExecutionResult result(double time_s, double energy_j,
 }
 
 TEST(Metrics, EnergyEfficiencyIsImagesPerJoule) {
-  EXPECT_DOUBLE_EQ(energy_efficiency(result(2.0, 50.0, 100)), 2.0);
+  EXPECT_DOUBLE_EQ(result(2.0, 50.0, 100).energy_efficiency(), 2.0);
 }
 
 TEST(Metrics, EeGainMatchesTableDefinition) {
@@ -33,21 +33,6 @@ TEST(Metrics, EeGainFromResults) {
 
 TEST(Metrics, EeGainRejectsZeroBaseline) {
   EXPECT_THROW(ee_gain(1.0, 0.0), std::invalid_argument);
-}
-
-TEST(Metrics, EnergyReductionPositiveWhenLess) {
-  EXPECT_DOUBLE_EQ(
-      energy_reduction(result(1.0, 60.0, 1), result(1.0, 100.0, 1)), 0.4);
-  EXPECT_THROW(energy_reduction(result(1, 1, 1), result(1, 0, 1)),
-               std::invalid_argument);
-}
-
-TEST(Metrics, TimeIncreasePositiveWhenSlower) {
-  EXPECT_NEAR(time_increase(result(1.1, 1, 1), result(1.0, 1, 1)), 0.1,
-              1e-12);
-  EXPECT_LT(time_increase(result(0.9, 1, 1), result(1.0, 1, 1)), 0.0);
-  EXPECT_THROW(time_increase(result(1, 1, 1), result(0, 1, 1)),
-               std::invalid_argument);
 }
 
 }  // namespace

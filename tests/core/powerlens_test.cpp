@@ -239,6 +239,21 @@ TEST_F(PowerLensTest, OptimizeBatchMatchesSoloOptimizeFieldExactly) {
   EXPECT_TRUE(single[0] == batch[1]);
 }
 
+TEST_F(PowerLensTest, OptimizeRejectsGraphsOverTheLayerLimit) {
+  dnn::GraphBuilder b("relu_chain", {1, 8, 4, 4});
+  dnn::NodeId x = b.input();
+  for (std::size_t i = 0; i < dnn::kMaxGraphLayers; ++i) x = b.relu(x);
+  const dnn::Graph g = b.build();
+  ASSERT_EQ(g.size(), dnn::kMaxGraphLayers + 1);
+  linalg::Workspace ws;
+  EXPECT_THROW(framework_->optimize(g, &ws), std::invalid_argument);
+  const dnn::Graph* graphs[] = {&g};
+  EXPECT_THROW(framework_->optimize_batch(graphs, &ws),
+               std::invalid_argument);
+  // Rejected at the entry: the workspace never made a buffer.
+  EXPECT_EQ(ws.created(), 0u);
+}
+
 TEST_F(PowerLensTest, OptimizeBatchEmptyIsEmpty) {
   EXPECT_TRUE(framework_->optimize_batch({}).empty());
 }

@@ -45,17 +45,5 @@ TEST(Report, PlanSummaryShowsBlocksAndFrequencies) {
   EXPECT_NE(out.find("conv2d"), std::string::npos);  // dominant op
 }
 
-TEST(Report, PowerTraceCsvHeaderAndRows) {
-  hw::ExecutionResult r;
-  r.gpu_trace = {{0.0, 13}, {0.5, 4}};
-  r.power_samples = {{0.05, 10.0}, {0.10, 11.5}};
-  std::stringstream ss;
-  write_power_trace_csv(ss, r);
-  const std::string out = ss.str();
-  EXPECT_NE(out.find("time_s,power_w"), std::string::npos);
-  EXPECT_NE(out.find("# freq_change t=0.5 level=4"), std::string::npos);
-  EXPECT_NE(out.find("0.05,10"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace powerlens::core

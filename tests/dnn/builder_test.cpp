@@ -1,4 +1,5 @@
 #include "dnn/builder.hpp"
+#include "support/graph_counts.hpp"
 
 #include <gtest/gtest.h>
 
@@ -81,9 +82,9 @@ TEST(GraphBuilder, ResidualAddTracksProducers) {
   ASSERT_EQ(prods.size(), 2u);
   EXPECT_EQ(prods[0], c);
   EXPECT_EQ(prods[1], a);
-  EXPECT_EQ(g.residual_count(), 1u);
+  EXPECT_EQ(testing::residual_count(g), 1u);
   // Node a feeds both c and s: one branch point.
-  EXPECT_EQ(g.branch_count(), 1u);
+  EXPECT_EQ(testing::branch_count(g), 1u);
 }
 
 TEST(GraphBuilder, ConcatSumsChannels) {
@@ -93,7 +94,7 @@ TEST(GraphBuilder, ConcatSumsChannels) {
   const NodeId cat = b.concat({a, c});
   EXPECT_EQ(b.shape(cat).c, 32);
   Graph g = b.build();
-  EXPECT_EQ(g.concat_count(), 1u);
+  EXPECT_EQ(testing::concat_count(g), 1u);
 }
 
 TEST(GraphBuilder, ConcatRejectsSpatialMismatch) {

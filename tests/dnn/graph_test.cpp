@@ -1,5 +1,6 @@
 #include "dnn/builder.hpp"
 #include "dnn/graph.hpp"
+#include "support/graph_counts.hpp"
 
 #include <gtest/gtest.h>
 
@@ -28,16 +29,16 @@ TEST(Graph, AggregatesSumLayers) {
   for (const Layer& l : g.layers()) flops += l.flops;
   EXPECT_EQ(g.total_flops(), flops);
   EXPECT_GT(g.total_params(), 0);
-  EXPECT_GT(g.total_mem_bytes(), 0);
+  EXPECT_GT(testing::total_mem_bytes(g), 0);
 }
 
 TEST(Graph, CountsStructure) {
   const Graph g = small_residual_graph();
-  EXPECT_EQ(g.residual_count(), 1u);
-  EXPECT_EQ(g.concat_count(), 0u);
-  EXPECT_EQ(g.branch_count(), 1u);
-  EXPECT_EQ(g.count_of(OpType::kConv2d), 2u);
-  EXPECT_EQ(g.count_of(OpType::kLinear), 1u);
+  EXPECT_EQ(testing::residual_count(g), 1u);
+  EXPECT_EQ(testing::concat_count(g), 0u);
+  EXPECT_EQ(testing::branch_count(g), 1u);
+  EXPECT_EQ(testing::count_of(g, OpType::kConv2d), 2u);
+  EXPECT_EQ(testing::count_of(g, OpType::kLinear), 1u);
 }
 
 TEST(Graph, DepthIsLongestPath) {

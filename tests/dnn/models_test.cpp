@@ -3,6 +3,7 @@
 // must match within tolerance, which pins the builders to the real
 // architectures the paper measured.
 #include "dnn/models.hpp"
+#include "support/graph_counts.hpp"
 
 #include <gtest/gtest.h>
 
@@ -130,7 +131,7 @@ TEST(ModelZoo, VitTreatsTokensAsSequence) {
     }
   }
   EXPECT_TRUE(saw_attention);
-  EXPECT_EQ(g.count_of(OpType::kMultiHeadAttention), 12u);
+  EXPECT_EQ(testing::count_of(g, OpType::kMultiHeadAttention), 12u);
 }
 
 TEST(ModelZoo, Vit32HasFewerTokens) {
@@ -145,17 +146,17 @@ TEST(ModelZoo, Vit32HasFewerTokens) {
 TEST(ModelZoo, DenseNetIsConcatHeavy) {
   const Graph g = make_model("densenet201", 1);
   // One concat per dense layer: 6 + 12 + 48 + 32 = 98.
-  EXPECT_EQ(g.concat_count(), 98u);
+  EXPECT_EQ(testing::concat_count(g), 98u);
 }
 
 TEST(ModelZoo, ResNetResidualCounts) {
-  EXPECT_EQ(make_model("resnet34", 1).residual_count(), 16u);
-  EXPECT_EQ(make_model("resnet152", 1).residual_count(), 50u);
+  EXPECT_EQ(testing::residual_count(make_model("resnet34", 1)), 16u);
+  EXPECT_EQ(testing::residual_count(make_model("resnet152", 1)), 50u);
 }
 
 TEST(ModelZoo, GoogLeNetHasNineInceptionModules) {
   const Graph g = make_model("googlenet", 1);
-  EXPECT_EQ(g.concat_count(), 9u);
+  EXPECT_EQ(testing::concat_count(g), 9u);
 }
 
 TEST(ModelZoo, MobileNetUsesDepthwiseConvs) {

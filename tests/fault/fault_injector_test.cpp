@@ -2,12 +2,10 @@
 // (seed, domain, index) — replayable, order-robust, decorrelated across
 // purposes — and the two pieces of sequential physics (the stuck-clock
 // window and the thermal chain) advance deterministically with the run
-// clock. Also covers the FaultyDvfsDriver deployment-seam decorator.
+// clock.
 #include "fault/fault_injector.hpp"
 
-#include "hw/dvfs_driver.hpp"
 #include "hw/fault_hooks.hpp"
-#include "hw/platform.hpp"
 
 #include <gtest/gtest.h>
 
@@ -216,55 +214,6 @@ TEST(FaultInjectorTest, ThermalEventCountMatchesWindowsEntered) {
   // Re-querying the same instant is idempotent.
   inj.thermal_at(50.0);
   EXPECT_EQ(inj.counters().thermal_events, after_jump);
-}
-
-// --- the DvfsDriver decorator ---
-
-TEST(FaultyDvfsDriverTest, ForwardsWhenNoFaultsConfigured) {
-  const hw::Platform platform = hw::make_tx2();
-  hw::SimDvfsDriver inner(platform);
-  FaultyDvfsDriver driver(inner, FaultSpec{}, 3);
-  EXPECT_TRUE(driver.set_gpu_level(0));
-  EXPECT_EQ(driver.gpu_level(), 0u);
-  EXPECT_EQ(inner.gpu_level(), 0u);
-  EXPECT_EQ(driver.counters().dvfs_failed, 0u);
-  EXPECT_EQ(driver.name(), "faulty");
-}
-
-TEST(FaultyDvfsDriverTest, InjectedFailureLeavesInnerUntouched) {
-  const hw::Platform platform = hw::make_tx2();
-  hw::SimDvfsDriver inner(platform);
-  const std::size_t initial = inner.gpu_level();
-  FaultyDvfsDriver driver(inner, dvfs_spec(1.0), 3);
-  EXPECT_FALSE(driver.set_gpu_level(0));
-  EXPECT_EQ(inner.gpu_level(), initial);      // never reached the device
-  EXPECT_EQ(inner.transitions(), 0u);
-  EXPECT_EQ(driver.gpu_level(), initial);     // reads pass through
-  EXPECT_EQ(driver.counters().dvfs_failed, 1u);
-}
-
-TEST(FaultyDvfsDriverTest, StickyWindowFollowsCallerClock) {
-  const double kRate = 0.3;
-  const std::uint64_t seed = seed_with_fail0_pass1(kRate);
-  const hw::Platform platform = hw::make_tx2();
-  hw::SimDvfsDriver inner(platform);
-  FaultyDvfsDriver driver(inner, dvfs_spec(kRate, /*sticky=*/0.5), seed);
-
-  driver.set_time(0.0);
-  EXPECT_FALSE(driver.set_gpu_level(0));  // draw 0 fails, window opens
-  driver.set_time(0.1);
-  EXPECT_FALSE(driver.set_gpu_level(0));  // still inside the window
-  EXPECT_EQ(inner.transitions(), 0u);
-
-  // The same seed with the clock advanced past the window succeeds on
-  // request 1's own draw.
-  hw::SimDvfsDriver inner2(platform);
-  FaultyDvfsDriver driver2(inner2, dvfs_spec(kRate, /*sticky=*/0.5), seed);
-  driver2.set_time(0.0);
-  EXPECT_FALSE(driver2.set_gpu_level(0));
-  driver2.set_time(0.6);
-  EXPECT_TRUE(driver2.set_gpu_level(0));
-  EXPECT_EQ(inner2.transitions(), 1u);
 }
 
 }  // namespace

@@ -104,15 +104,6 @@ TEST(DepthwiseExtractor, DistinguishesComputeFromMemoryLayers) {
             relu_ai / static_cast<double>(relus));
 }
 
-TEST(DepthwiseExtractor, FeatureNamesCoverAllColumns) {
-  for (std::size_t i = 0; i < kDepthwiseFeatureDim; ++i) {
-    EXPECT_NE(DepthwiseFeatureExtractor::feature_name(i), "unknown")
-        << "column " << i;
-  }
-  EXPECT_EQ(DepthwiseFeatureExtractor::feature_name(kDepthwiseFeatureDim),
-            "unknown");
-}
-
 TEST(DepthwiseExtractor, EmptyGraphThrows) {
   EXPECT_THROW(DepthwiseFeatureExtractor::extract(dnn::Graph()),
                std::invalid_argument);

@@ -1,6 +1,7 @@
 #include "features/global.hpp"
 
 #include "dnn/models.hpp"
+#include "support/graph_counts.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,6 @@ TEST(GlobalExtractor, DimensionsMatchConstants) {
   const GlobalFeatures f = GlobalFeatureExtractor::extract(g);
   EXPECT_EQ(f.structural.size(), kStructuralDim);
   EXPECT_EQ(f.statistics.size(), kStatisticsDim);
-  EXPECT_EQ(f.flat().size(), kStructuralDim + kStatisticsDim);
 }
 
 TEST(GlobalExtractor, WholeNetworkEqualsFullRange) {
@@ -34,14 +34,16 @@ TEST(GlobalExtractor, TotalsMatchGraphAggregates) {
   EXPECT_NEAR(f.statistics[1],
               std::log1p(static_cast<double>(g.total_params())), 1e-9);
   EXPECT_NEAR(f.statistics[2],
-              std::log1p(static_cast<double>(g.total_mem_bytes())), 1e-9);
+              std::log1p(static_cast<double>(testing::total_mem_bytes(g))),
+              1e-9);
 }
 
 TEST(GlobalExtractor, StructuralCountsResidualsAndConcats) {
   const dnn::Graph g = dnn::make_resnet34(1);
   const GlobalFeatures f = GlobalFeatureExtractor::extract(g);
   EXPECT_NEAR(f.structural[2],
-              std::log1p(static_cast<double>(g.residual_count())), 1e-9);
+              std::log1p(static_cast<double>(testing::residual_count(g))),
+              1e-9);
   EXPECT_NEAR(f.structural[3], std::log1p(0.0), 1e-12);  // no concats
 }
 

@@ -6,6 +6,7 @@
 #include "io/interchange.hpp"
 
 #include "core/powerlens.hpp"
+#include "dnn/builder.hpp"
 #include "dnn/models.hpp"
 #include "dnn/random_gen.hpp"
 #include "hw/platform.hpp"
@@ -15,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -120,30 +120,19 @@ TEST(InterchangeCostTableTest, HeapRoundTripFieldExact) {
   EXPECT_EQ(back, table);
 }
 
-TEST(InterchangeCostTableTest, RealPlatformTableRoundTripsBothLoadModes) {
+TEST(InterchangeCostTableTest, RealPlatformTableRoundTripsThroughFile) {
   const hw::Platform platform = hw::make_tx2();
   const dnn::Graph g = testing::golden_graph();
   const hw::CostTable table(platform, g.layers());
   const std::string path = temp_path("costs.plbin");
   save_cost_table(path, table);
 
-  const LoadedCostTable heap = load_cost_table(path, /*allow_mmap=*/false);
-  EXPECT_FALSE(heap.mmapped);
-  EXPECT_EQ(heap.table, table);
-
-  const LoadedCostTable mapped = load_cost_table(path, /*allow_mmap=*/true);
-  EXPECT_EQ(mapped.table, table);
-#if defined(__unix__) || defined(__APPLE__)
-  // Little-endian unix hosts take the zero-copy path; the arrays are
-  // page-aligned by construction.
-  if constexpr (std::endian::native == std::endian::little) {
-    EXPECT_TRUE(mapped.mmapped);
-  }
-#endif
-  // Queries agree between modes on a mid-graph block (one subtraction off
-  // the prefix arrays in both).
+  const hw::CostTable loaded = load_cost_table(path);
+  EXPECT_EQ(loaded, table);
+  // Queries agree on a mid-graph block (one subtraction off the prefix
+  // arrays in both).
   const auto a = table.block_cost(3, 9, 4, platform.max_cpu_level());
-  const auto b = mapped.table.block_cost(3, 9, 4, platform.max_cpu_level());
+  const auto b = loaded.block_cost(3, 9, 4, platform.max_cpu_level());
   EXPECT_EQ(a.time_s, b.time_s);
   EXPECT_EQ(a.energy_j, b.energy_j);
   std::remove(path.c_str());
@@ -172,6 +161,26 @@ TEST(InterchangeErrorTest, MissingFileThrows) {
   // typed io::Error (those are reserved for malformed bytes).
   EXPECT_THROW(load_graph("/nonexistent/dir/graph.plbin"),
                std::runtime_error);
+}
+
+// The input plus a chain of `relus` ReLUs.
+dnn::Graph relu_chain(std::size_t relus) {
+  dnn::GraphBuilder b("relu_chain", {1, 8, 4, 4});
+  dnn::NodeId x = b.input();
+  for (std::size_t i = 0; i < relus; ++i) x = b.relu(x);
+  return b.build();
+}
+
+TEST(InterchangeErrorTest, GraphOverLayerLimitFailsTyped) {
+  const dnn::Graph at_limit = relu_chain(dnn::kMaxGraphLayers - 1);
+  ASSERT_EQ(at_limit.size(), dnn::kMaxGraphLayers);
+  EXPECT_EQ(decode_graph(encode_graph(at_limit)).size(),
+            dnn::kMaxGraphLayers);
+
+  // A checksum-valid record one layer over the limit.
+  const dnn::Graph over = relu_chain(dnn::kMaxGraphLayers);
+  ASSERT_EQ(over.size(), dnn::kMaxGraphLayers + 1);
+  EXPECT_THROW(decode_graph(encode_graph(over)), MalformedError);
 }
 
 TEST(InterchangeErrorTest, WrongRecordTypeIsTyped) {

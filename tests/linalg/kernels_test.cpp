@@ -1,7 +1,7 @@
 // Blocked kernels vs textbook oracles. The contract under test is stronger
 // than numerical closeness: every kernel must be BITWISE identical to its
 // fixed reference reduction shape (see kernels.hpp) — the 4-lane tree for
-// the contiguous-k kernels (gemm_nt, affine, gemv), the naive
+// the contiguous-k kernels (gemm_nt, affine), the naive
 // single-accumulator ascending-k loop for the output-contiguous ones
 // (gemm_nn, gemm_tn, col_sums) — across shapes that exercise every
 // register-tile and cache-block edge case, and identical whether calls run
@@ -10,6 +10,8 @@
 // kernels_dispatch_test.cpp; this file pins the shape of the arithmetic
 // itself under whichever path is active.
 #include "linalg/kernels.hpp"
+
+#include "support/kernel_products.hpp"
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,9 @@
 
 namespace powerlens::linalg::kernels {
 namespace {
+
+using testing::matmul_nt;
+using testing::matmul_tn;
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   Matrix m(rows, cols);
@@ -180,6 +185,8 @@ TEST(Gemm, AccumulateAddsOntoExistingValues) {
   expect_bitwise_equal(cnt, want_nt, "gemm_nt accumulate");
 }
 
+// The matrix-vector shape: gemm_nt with a single B row computes y = A · x
+// with one 4-lane tree per row.
 TEST(Gemv, MatchesLaneTreeDotPerRow) {
   for (const std::size_t n : kShapes) {
     const Matrix a = random_matrix(17, n, 40 + n);
@@ -189,15 +196,14 @@ TEST(Gemv, MatchesLaneTreeDotPerRow) {
     for (double& v : x) v = dist(rng);
 
     std::vector<double> got(17, 0.0);
-    gemv(17, n, a.data().data(), n, x.data(), got.data());
+    gemm_nt(17, 1, n, a.data().data(), n, x.data(), n, got.data(), 1);
     std::vector<double> acc(17, 0.25);
-    gemv(17, n, a.data().data(), n, x.data(), acc.data(),
-         /*accumulate=*/true);
+    gemm_nt(17, 1, n, a.data().data(), n, x.data(), n, acc.data(), 1,
+            /*accumulate=*/true);
     for (std::size_t r = 0; r < 17; ++r) {
       const double tree = lane_tree_dot(a.data().data() + r * n, x.data(), n);
-      ASSERT_EQ(got[r], tree) << "gemv row " << r << " n " << n;
-      ASSERT_EQ(acc[r], tree + 0.25)
-          << "gemv accumulate row " << r << " n " << n;
+      ASSERT_EQ(got[r], tree) << "row " << r << " n " << n;
+      ASSERT_EQ(acc[r], tree + 0.25) << "accumulate row " << r << " n " << n;
     }
   }
 }

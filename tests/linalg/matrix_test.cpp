@@ -120,32 +120,26 @@ TEST(Matrix, MaxAbsDiff) {
   EXPECT_DOUBLE_EQ(Matrix::max_abs_diff(a, b), 1.0);
 }
 
-TEST(Matrix, FrobeniusNorm) {
-  Matrix a{{3, 4}};
-  EXPECT_DOUBLE_EQ(a.frobenius_norm(), 5.0);
-}
-
 TEST(MatVec, ComputesProduct) {
-  Matrix m{{1, 2}, {3, 4}};
-  const std::vector<double> x{1.0, 1.0};
-  const std::vector<double> y = mat_vec(m, x);
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 7.0);
+  // A matrix-vector product is the product with a one-column matrix.
+  const Matrix m{{1, 2}, {3, 4}};
+  const Matrix x{{1.0}, {1.0}};
+  const Matrix y = m * x;
+  ASSERT_EQ(y.rows(), 2u);
+  ASSERT_EQ(y.cols(), 1u);
+  EXPECT_DOUBLE_EQ(y(0, 0), 3.0);
+  EXPECT_DOUBLE_EQ(y(1, 0), 7.0);
 }
 
 TEST(MatVec, DimensionMismatchThrows) {
-  Matrix m(2, 3);
-  const std::vector<double> x{1.0, 1.0};
-  EXPECT_THROW(mat_vec(m, x), std::invalid_argument);
+  const Matrix m(2, 3);
+  const Matrix x{{1.0}, {1.0}};
+  EXPECT_THROW(m * x, std::invalid_argument);
 }
 
-TEST(Dot, ComputesAndValidates) {
-  const std::vector<double> a{1, 2, 3};
-  const std::vector<double> b{4, 5, 6};
-  EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
-  const std::vector<double> c{1.0};
-  EXPECT_THROW(dot(a, c), std::invalid_argument);
+TEST(Matrix, FrobeniusNorm) {
+  Matrix a{{3, 4}};
+  EXPECT_DOUBLE_EQ(a.frobenius_norm(), 5.0);
 }
 
 }  // namespace

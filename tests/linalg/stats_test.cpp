@@ -82,12 +82,14 @@ TEST(StandardScaler, FeatureCountMismatchThrows) {
 }
 
 TEST(StandardScaler, TransformRowMatchesMatrixTransform) {
+  // One row transformed alone equals that row of the whole-matrix
+  // transform: the scaling is per column, never across rows.
   const Matrix m{{1.0, 10.0}, {2.0, 30.0}, {3.0, 20.0}};
   StandardScaler s;
   const Matrix t = s.fit_transform(m);
-  const std::vector<double> row = s.transform_row(m.row(1));
-  EXPECT_NEAR(row[0], t(1, 0), 1e-12);
-  EXPECT_NEAR(row[1], t(1, 1), 1e-12);
+  const Matrix row = s.transform(Matrix{{m(1, 0), m(1, 1)}});
+  EXPECT_EQ(row(0, 0), t(1, 0));
+  EXPECT_EQ(row(0, 1), t(1, 1));
 }
 
 TEST(StandardScaler, SingleSampleAllZero) {

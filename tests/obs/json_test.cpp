@@ -19,6 +19,12 @@ namespace {
 using test_support::JsonParser;
 using test_support::JsonValue;
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  append_json_escaped(out, s);
+  return out;
+}
+
 TEST(JsonEscape, PassesPlainTextThrough) {
   EXPECT_EQ(json_escape("hello world"), "hello world");
 }

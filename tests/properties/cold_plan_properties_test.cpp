@@ -114,7 +114,7 @@ TEST(ColdPlanProperties, CsrDbscanMatchesDenseOracleSweep) {
       for (const std::size_t min_pts :
            {std::size_t{1}, std::size_t{3}, std::size_t{6}}) {
         const DbscanParams p{eps, min_pts};
-        EXPECT_EQ(clustering::dbscan(d, p), oracle::dbscan_reference(d, p))
+        EXPECT_EQ(oracle::dbscan_csr(d, p), oracle::dbscan_reference(d, p))
             << "seed=" << seed << " n=" << n << " eps=" << eps
             << " min_pts=" << min_pts;
       }
@@ -132,7 +132,7 @@ TEST(ColdPlanProperties, CsrDbscanOracleDegenerateDatasets) {
   }
   for (const std::size_t min_pts : {std::size_t{2}, std::size_t{4}}) {
     const DbscanParams p{0.5, min_pts};
-    const std::vector<int> labels = clustering::dbscan(spread, p);
+    const std::vector<int> labels = oracle::dbscan_csr(spread, p);
     EXPECT_EQ(labels, oracle::dbscan_reference(spread, p));
     for (const int l : labels) EXPECT_EQ(l, kNoise);
   }
@@ -141,7 +141,7 @@ TEST(ColdPlanProperties, CsrDbscanOracleDegenerateDatasets) {
   std::mt19937_64 rng(9);
   linalg::Matrix tight = random_distance_matrix(rng, 12);
   const DbscanParams all{1.5, 4};
-  const std::vector<int> one = clustering::dbscan(tight, all);
+  const std::vector<int> one = oracle::dbscan_csr(tight, all);
   EXPECT_EQ(one, oracle::dbscan_reference(tight, all));
   for (const int l : one) EXPECT_EQ(l, 0);
 
@@ -155,7 +155,7 @@ TEST(ColdPlanProperties, CsrDbscanOracleDegenerateDatasets) {
   for (const std::size_t min_pts :
        {std::size_t{2}, std::size_t{4}, std::size_t{5}}) {
     const DbscanParams p{0.1, min_pts};
-    EXPECT_EQ(clustering::dbscan(dup, p),
+    EXPECT_EQ(oracle::dbscan_csr(dup, p),
               oracle::dbscan_reference(dup, p))
         << "min_pts=" << min_pts;
   }
@@ -186,8 +186,11 @@ TEST(ColdPlanProperties, AdjacencyDistancePipelineBitwiseEqualsDensePath) {
       EXPECT_EQ(adj.offsets, rescan.offsets) << "seed " << seed;
       EXPECT_EQ(adj.neighbors, rescan.neighbors) << "seed " << seed;
 
+      const std::vector<int> labels =
+          oracle::dbscan_reference(dense, {eps, hyper.min_pts});
       EXPECT_EQ(clustering::build_power_view_from_adjacency(fused, adj, hyper),
-                clustering::build_power_view_from_distances(dense, hyper))
+                clustering::process_clusters(
+                    labels, dense, {.min_block_layers = hyper.min_pts}))
           << "seed " << seed;
     }
   }
@@ -210,10 +213,12 @@ dnn::Graph random_network(std::uint64_t seed, std::size_t min_layers) {
 
 TEST(ColdPlanProperties, GridSweepOnTriangularDistancesMatchesDenseOracle) {
   // dataset_gen computes each network's distances once with
-  // power_distances_adj_into and re-clusters them per grid point through
-  // the lower-triangle-only from_distances. Against the dense full-matrix
-  // oracle: same adjacency at every grid eps, DBSCAN labels equal to the
-  // dense reference at every grid point, and the same PowerView.
+  // power_distances_adj_into, keeps the adjacency it emits at the first grid
+  // eps, builds one lower-triangle-only from_distances adjacency per further
+  // distinct eps, and re-clusters every grid point from those. Against the
+  // dense full-matrix oracle: same adjacency at every grid eps, DBSCAN
+  // labels equal to the dense reference at every grid point, and the same
+  // PowerView.
   const core::HyperparamGrid grid;
   const clustering::DistanceParams params;
   std::size_t largest = 0;
@@ -227,12 +232,14 @@ TEST(ColdPlanProperties, GridSweepOnTriangularDistancesMatchesDenseOracle) {
     const linalg::Matrix dense = oracle::power_distances(table, params);
     linalg::Workspace ws;
     linalg::Matrix lower;
-    EpsAdjacency unused;
+    EpsAdjacency first;
     clustering::power_distances_adj_into(table, params, grid.at(0).eps, ws,
-                                         lower, unused);
+                                         lower, first);
     expect_lower_eq(lower, dense, g.name());
     for (const double eps : grid.eps_values) {
-      const EpsAdjacency got = EpsAdjacency::from_distances(lower, eps);
+      const EpsAdjacency got = eps == grid.at(0).eps
+                                   ? first
+                                   : EpsAdjacency::from_distances(lower, eps);
       const EpsAdjacency want = oracle::eps_adjacency_full_scan(dense, eps);
       ASSERT_EQ(got.offsets, want.offsets) << g.name() << " eps=" << eps;
       ASSERT_EQ(got.neighbors, want.neighbors) << g.name() << " eps=" << eps;
@@ -240,11 +247,12 @@ TEST(ColdPlanProperties, GridSweepOnTriangularDistancesMatchesDenseOracle) {
         const clustering::ClusteringHyperparams hyper{eps, min_pts};
         const std::vector<int> labels =
             oracle::dbscan_reference(dense, {eps, min_pts});
-        ASSERT_EQ(clustering::dbscan(lower, {eps, min_pts}), labels)
+        ASSERT_EQ(clustering::dbscan(got, {eps, min_pts}), labels)
             << g.name() << " eps=" << eps << " min_pts=" << min_pts;
-        EXPECT_EQ(clustering::build_power_view_from_distances(lower, hyper),
-                  clustering::process_clusters(labels, dense,
-                                               {.min_block_layers = min_pts}))
+        EXPECT_EQ(
+            clustering::build_power_view_from_adjacency(lower, got, hyper),
+            clustering::process_clusters(labels, dense,
+                                         {.min_block_layers = min_pts}))
             << g.name() << " eps=" << eps << " min_pts=" << min_pts;
       }
     }

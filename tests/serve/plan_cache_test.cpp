@@ -81,7 +81,7 @@ TEST(PlanCacheTest, MissThenHitReturnsSamePlan) {
 TEST(PlanCacheTest, LookupCountsProbesNotServingPathHits) {
   PlanCache cache;
   const dnn::Graph g = dnn::make_alexnet(4);
-  EXPECT_EQ(cache.lookup(g), nullptr);
+  EXPECT_EQ(cache.lookup(graph_signature(g)), nullptr);
   EXPECT_EQ(cache.misses(), 0u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.probe_hits(), 0u);  // a probe miss counts nothing
@@ -89,8 +89,8 @@ TEST(PlanCacheTest, LookupCountsProbesNotServingPathHits) {
   cache.get_or_compute(g, [](const dnn::Graph&) {
     return core::OptimizationPlan{};
   });
-  EXPECT_NE(cache.lookup(g), nullptr);
-  EXPECT_NE(cache.lookup(g), nullptr);
+  EXPECT_NE(cache.lookup(graph_signature(g)), nullptr);
+  EXPECT_NE(cache.lookup(graph_signature(g)), nullptr);
   EXPECT_EQ(cache.probe_hits(), 2u);
   EXPECT_EQ(cache.hits(), 0u);  // probes no longer leak into serving hits
   EXPECT_EQ(cache.misses(), 1u);
@@ -132,9 +132,10 @@ TEST(PlanCacheTest, BoundedCacheEvictsLeastRecentlyUsed) {
   cache.get_or_compute(c, factory);  // evicts b, the LRU entry
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.lookup(b), nullptr);   // the victim
-  EXPECT_NE(cache.lookup(a), nullptr);   // survived via the hit refresh
-  EXPECT_NE(cache.lookup(c), nullptr);
+  EXPECT_EQ(cache.lookup(graph_signature(b)), nullptr);  // the victim
+  // a survived via the hit refresh.
+  EXPECT_NE(cache.lookup(graph_signature(a)), nullptr);
+  EXPECT_NE(cache.lookup(graph_signature(c)), nullptr);
 
   // An evicted signature recomputes on next use.
   EXPECT_EQ(calls.load(), 3);
@@ -154,11 +155,11 @@ TEST(PlanCacheTest, ProbeDoesNotRefreshRecency) {
 
   cache.get_or_compute(a, factory);
   cache.get_or_compute(b, factory);  // MRU order: b, a
-  EXPECT_NE(cache.lookup(a), nullptr);  // read-only probe
+  EXPECT_NE(cache.lookup(graph_signature(a)), nullptr);  // read-only probe
   cache.get_or_compute(c, factory);
   // The probe must not have kept `a` alive — it was still the LRU entry.
-  EXPECT_EQ(cache.lookup(a), nullptr);
-  EXPECT_NE(cache.lookup(b), nullptr);
+  EXPECT_EQ(cache.lookup(graph_signature(a)), nullptr);
+  EXPECT_NE(cache.lookup(graph_signature(b)), nullptr);
 }
 
 TEST(PlanCacheTest, ZeroCapacityMeansUnbounded) {
@@ -260,8 +261,9 @@ TEST(PlanCacheTest, InvalidateDropsOnlyTheTargetSignature) {
   cache.get_or_compute(b, factory);
 
   EXPECT_TRUE(cache.invalidate(graph_signature(a)));
-  EXPECT_EQ(cache.lookup(a), nullptr);
-  EXPECT_NE(cache.lookup(b), nullptr);  // untouched neighbour
+  EXPECT_EQ(cache.lookup(graph_signature(a)), nullptr);
+  // The untouched neighbour stays.
+  EXPECT_NE(cache.lookup(graph_signature(b)), nullptr);
   EXPECT_FALSE(cache.invalidate(graph_signature(a)));  // already gone
   EXPECT_EQ(cache.resident(), 1u);
 
@@ -285,7 +287,8 @@ TEST(PlanCacheTest, InstallReplacesResidentPlanInPlace) {
 
   auto replan = std::make_shared<const core::OptimizationPlan>();
   EXPECT_TRUE(cache.install(graph_signature(g), replan));
-  EXPECT_EQ(cache.lookup(g).get(), replan.get());  // swapped, not duplicated
+  // Swapped, not duplicated.
+  EXPECT_EQ(cache.lookup(graph_signature(g)).get(), replan.get());
   EXPECT_EQ(cache.resident(), 1u);
 
   // Install on a vacant signature inserts under the capacity bound.
@@ -432,11 +435,12 @@ TEST(PlanCacheTest, HitsDoNotBlockBehindAnInFlightMissCompute) {
 // --- Signature-keyed entry points ------------------------------------------
 //
 // The serving layer keys every request by the signature it computed at
-// deploy time. The graph-keyed forms hash and forward, so both must behave
-// identically for the same request set: same plans, counters, LRU eviction
-// order, concurrent misses, in-flight joins and exception behaviour.
+// deploy time. The graph-keyed get_or_compute hashes and forwards, so both
+// must behave identically for the same request set: same plans, counters,
+// LRU eviction order, concurrent misses, in-flight joins and exception
+// behaviour.
 
-// One API form: graph-keyed (hash per call) or signature-keyed.
+// One get_or_compute form: graph-keyed (hash per call) or signature-keyed.
 struct KeyedApi {
   bool by_signature = false;
   PlanCache::PlanPtr get(PlanCache& cache, const dnn::Graph& g,
@@ -445,7 +449,7 @@ struct KeyedApi {
                         : cache.get_or_compute(g, factory);
   }
   PlanCache::PlanPtr probe(const PlanCache& cache, const dnn::Graph& g) const {
-    return by_signature ? cache.lookup(graph_signature(g)) : cache.lookup(g);
+    return cache.lookup(graph_signature(g));
   }
 };
 

@@ -21,6 +21,8 @@
 //   - dbscan_reference: the dense-matrix DBSCAN with O(n) neighbor rescans
 //     and a frontier that re-enqueues labeled points; the CSR
 //     implementation must reproduce its labels exactly.
+//   - dbscan_csr: not an oracle — the library's DBSCAN on a matrix, i.e.
+//     EpsAdjacency::from_distances followed by the CSR expansion.
 #pragma once
 
 #include "clustering/dbscan.hpp"
@@ -244,6 +246,15 @@ inline std::vector<int> dbscan_reference(
     }
   }
   return labels;
+}
+
+// The library's DBSCAN over the lower triangle of a distance matrix. Bad
+// matrices and eps <= 0 throw std::invalid_argument from from_distances,
+// min_pts == 0 from dbscan.
+inline std::vector<int> dbscan_csr(const linalg::Matrix& distances,
+                                   const clustering::DbscanParams& params) {
+  return clustering::dbscan(
+      clustering::EpsAdjacency::from_distances(distances, params.eps), params);
 }
 
 }  // namespace powerlens::oracle
