@@ -61,12 +61,17 @@
 #include "serve/server.hpp"
 #include "serve/signature.hpp"
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 using namespace powerlens;
@@ -101,6 +106,28 @@ int usage() {
   return 2;
 }
 
+// A malformed command line; main() answers it with the usage text.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+// Parses one whole numeric argument within [lo, hi]. A sign the range
+// excludes, non-digits, trailing characters, a non-finite value, or a value
+// outside the range is a usage error, never a silent wrap or truncation.
+template <typename T>
+T parse_number(std::string_view text, T lo = 0,
+               T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc{} && ptr == end && value >= lo && value <= hi;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw UsageError("invalid numeric argument '" + std::string(text) + "'");
+  }
+  return value;
+}
+
 // Serve-specific flags, stripped from argv before positional dispatch (the
 // same contract as obs::extract_cli_flags).
 struct ServeFlags {
@@ -124,8 +151,7 @@ ServeFlags extract_serve_flags(int& argc, char** argv) {
     if (arg == "--faults" && i + 1 < argc) {
       flags.faults = argv[++i];
     } else if (arg == "--plan-cache-capacity" && i + 1 < argc) {
-      flags.plan_cache_capacity =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
+      flags.plan_cache_capacity = parse_number<std::size_t>(argv[++i]);
     } else if (arg == "--plan-snapshot" && i + 1 < argc) {
       flags.plan_snapshot = argv[++i];
     } else if (arg == "--model-dir" && i + 1 < argc) {
@@ -135,7 +161,7 @@ ServeFlags extract_serve_flags(int& argc, char** argv) {
     } else if (arg == "--adapt") {
       flags.adapt = true;
     } else if (arg == "--adapt-epoch" && i + 1 < argc) {
-      flags.adapt_epoch = static_cast<std::size_t>(std::atoll(argv[++i]));
+      flags.adapt_epoch = parse_number<std::size_t>(argv[++i], 1);
     } else if (arg == "--retrain") {
       flags.retrain = true;
     } else {
@@ -423,56 +449,59 @@ int cmd_serve(const hw::Platform& platform, const std::string& bundle,
 int main(int argc, char** argv) {
   const obs::ObsOptions obs_options = obs::extract_cli_flags(argc, argv);
   const obs::ObsScope obs_scope(obs_options);
-  const ServeFlags serve_flags = extract_serve_flags(argc, argv);
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
   try {
+    const ServeFlags serve_flags = extract_serve_flags(argc, argv);
+    if (argc < 2) return usage();
+    const std::string cmd = argv[1];
+    // Optional positional argument i, parsed as a number, or `fallback`.
+    const auto arg_or = [&]<typename T>(int i, T fallback, T lo = 0,
+                                        T hi = std::numeric_limits<T>::max()) {
+      return argc > i ? parse_number<T>(argv[i], lo, hi) : fallback;
+    };
+    constexpr std::int64_t kMinBatch = 1;
     if (cmd == "models") return cmd_models();
     if (cmd == "train" && argc >= 4) {
       return cmd_train(parse_platform(argv[2]), argv[3],
-                       argc > 4 ? static_cast<std::size_t>(std::atoll(argv[4]))
-                                : 300);
+                       arg_or(4, std::size_t{300}, std::size_t{1}));
     }
     if (cmd == "optimize" && argc >= 5) {
       return cmd_optimize(parse_platform(argv[2]), argv[3], argv[4],
-                          argc > 5 ? std::atoll(argv[5]) : 8);
+                          arg_or(5, std::int64_t{8}, kMinBatch));
     }
     if (cmd == "profile" && argc >= 4) {
       const hw::Platform p = parse_platform(argv[2]);
-      return cmd_profile(
-          p, argv[3],
-          argc > 4 ? static_cast<std::size_t>(std::atoll(argv[4]))
-                   : p.gpu_levels() / 2,
-          argc > 5 ? std::atoll(argv[5]) : 8);
+      return cmd_profile(p, argv[3], arg_or(4, p.gpu_levels() / 2),
+                         arg_or(5, std::int64_t{8}, kMinBatch));
     }
     if (cmd == "run" && argc >= 5) {
       return cmd_run(parse_platform(argv[2]), argv[3], argv[4],
-                     argc > 5 ? std::atoi(argv[5]) : 30,
-                     argc > 6 ? std::atoll(argv[6]) : 8);
+                     arg_or(5, 30, 1), arg_or(6, std::int64_t{8}, kMinBatch));
     }
     if (cmd == "export-graph" && argc >= 4) {
       return cmd_export_graph(argv[2], argv[3],
-                              argc > 4 ? std::atoll(argv[4]) : 8);
+                              arg_or(4, std::int64_t{8}, kMinBatch));
     }
     if (cmd == "export-plans" && argc >= 5) {
       return cmd_export_plans(parse_platform(argv[2]), argv[3], argv[4],
-                              argc > 5 ? std::atoll(argv[5]) : 10);
+                              arg_or(5, std::int64_t{10}, kMinBatch));
     }
     if (cmd == "export-costs" && argc >= 5) {
       return cmd_export_costs(parse_platform(argv[2]), argv[3], argv[4],
-                              argc > 5 ? std::atoll(argv[5]) : 8);
+                              arg_or(5, std::int64_t{8}, kMinBatch));
     }
     if (cmd == "import" && argc >= 3) {
       return cmd_import(argv[2]);
     }
     if (cmd == "serve" && argc >= 4) {
       return cmd_serve(
-          parse_platform(argv[2]), argv[3],
-          argc > 4 ? static_cast<std::size_t>(std::atoll(argv[4])) : 100,
+          parse_platform(argv[2]), argv[3], arg_or(4, std::size_t{100}),
           parse_policy(argc > 5 ? argv[5] : "powerlens"),
-          argc > 6 ? static_cast<std::size_t>(std::atoll(argv[6])) : 4,
-          argc > 7 ? std::atof(argv[7]) : 0.0, serve_flags);
+          arg_or(6, std::size_t{4}, std::size_t{1}, serve::kMaxServeWorkers),
+          arg_or(7, 0.0), serve_flags);
     }
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -3,49 +3,23 @@
 // The journal records one pre-rendered JSON object per event under a
 // (run, task, seq) key — run is claimed per serve() call, task is the
 // request id inside the run, seq orders the events of one request. Export
-// merges everything into ascending (run, task, seq) order and emits JSONL,
-// so the bytes a reader sees are a pure function of the *keys appended*,
-// never of which worker thread appended them or when.
+// sorts everything into ascending (run, task, seq) order and emits JSONL.
 //
-// Why that holds even though appends race:
-//   * Each thread writes to its own ring shard, so appends never interleave
-//     inside a shard. Every appending thread in the serving layer emits
-//     keys in strictly increasing order (the dispatch queue hands a worker
-//     ascending task indices; the fold thread walks tasks in order; run ids
-//     increase per serve call), so each shard is independently sorted.
-//   * Every shard ring holds up to the journal's full capacity. When the
-//     merged total exceeds capacity, export keeps the TOP `capacity` keys.
-//     A shard can only have ring-evicted keys that are below its own top
-//     (capacity) keys, which are themselves below the merged top — so the
-//     survivor set is the same whether one thread appended everything or
-//     eight threads split the work. The merged view is byte-identical at
-//     any worker count; only the (unexported) eviction counter varies.
+// The export is the top `capacity` keys of everything appended, in key
+// order, whatever order or thread the appends came from — so the bytes a
+// reader sees are a pure function of the set of keys appended. In the
+// serving layer one thread writes per serve: the deterministic fold, which
+// also renders each task's attempt records from the workers' results.
 //
-// Memory stays bounded whatever the thread churn (the serving layer starts
-// fresh workers on every serve() call and every adaptation epoch):
-//   * A thread's shard is marked orphaned when the thread exits. The next
-//     thread to register (or the next compaction) moves every orphaned
-//     shard's records into one retired pool and frees the shard, so the
-//     shard list holds the live appending threads plus those that exited
-//     since the last registration.
-//   * When the records resident across shards and the retired pool exceed
-//     kCompactFactor * capacity, the appending thread compacts them to the
-//     top `capacity` keys. A key below that cut already has `capacity`
-//     larger keys appended, so it can never be exported — the same argument
-//     as ring eviction, and it holds for any shard layout. Hence
-//     resident() <= kCompactFactor * capacity() whenever no append is in
-//     flight.
-//
-// Appends are cheap: one thread-local shard lookup, one mutex acquire on an
-// uncontended per-thread lock, one string move into the ring, one relaxed
-// counter update. Compaction runs once per ~capacity appends. A disabled
-// journal costs a single relaxed atomic load.
+// Storage is one vector under one mutex. Once it holds more than
+// kCompactFactor * capacity records, the appending call trims it to the top
+// `capacity` keys: a key below that cut already has `capacity` larger keys
+// appended, so it can never be exported. Hence
+// resident() <= kCompactFactor * capacity() after every append.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -54,14 +28,14 @@
 
 namespace powerlens::obs {
 
-// Default ring bound: generous for tests and benches (a serve run emits a
-// handful of records per request) while keeping worst-case memory modest.
+// Default bound: generous for tests and benches (a serve run emits a handful
+// of records per request) while keeping worst-case memory modest.
 inline constexpr std::size_t kDefaultJournalCapacity = 16384;
 
 class Journal {
  public:
-  // Resident records (shards plus retired pool) that trigger compaction
-  // down to `capacity`, as a multiple of `capacity`.
+  // Resident records that trigger compaction down to `capacity`, as a
+  // multiple of `capacity`.
   static constexpr std::size_t kCompactFactor = 2;
 
   explicit Journal(std::size_t capacity = kDefaultJournalCapacity);
@@ -70,99 +44,46 @@ class Journal {
 
   // Claims the id for one serve run. Monotone per journal; all records of a
   // run share it so interleaved serve() calls stay separable.
-  std::uint64_t begin_run() noexcept {
-    return next_run_.fetch_add(1, std::memory_order_relaxed);
-  }
+  std::uint64_t begin_run();
 
   // Appends one record. `fields` is a pre-rendered JSON fragment (the
   // JsonWriter::body() form, no braces, may be empty); the record becomes
   //   {"run": R, "task": T, "seq": S, "event": "<event>", <fields>}
-  // Callers must append strictly increasing (run, task, seq) keys per
-  // thread — the determinism contract above depends on it.
   void append(std::uint64_t run, std::uint64_t task, std::uint32_t seq,
               std::string_view event, std::string_view fields);
 
-  bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  void set_enabled(bool on) noexcept {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
   std::size_t capacity() const noexcept { return capacity_; }
   // Records accepted since construction/clear() — deterministic.
-  std::uint64_t appended() const noexcept {
-    return appended_.load(std::memory_order_relaxed);
-  }
-  // Ring evictions. Shard-layout dependent, so this is diagnostics only and
-  // never exported into the JSONL stream.
-  std::uint64_t evicted() const noexcept {
-    return evicted_.load(std::memory_order_relaxed);
-  }
-  // Records currently resident across all shards and the retired pool
-  // (pre-merge-trim); at most kCompactFactor * capacity() whenever no
-  // append is in flight.
+  std::uint64_t appended() const;
+  // Records currently held; at most kCompactFactor * capacity().
   std::size_t resident() const;
-  // Shards currently allocated (live appending threads plus threads that
-  // exited since the last registration or compaction) — diagnostics.
-  std::size_t shards() const;
 
-  // Merged deterministic export: min(appended(), capacity()) records in
-  // ascending (run, task, seq) order, one JSON object per line, followed by
-  // one `journal_meta` trailer line with deterministic totals.
+  // Deterministic export: min(appended(), capacity()) records in ascending
+  // (run, task, seq) order, one JSON object per line, followed by one
+  // `journal_meta` trailer line with deterministic totals.
   void write_jsonl(std::ostream& os) const;
   std::string jsonl() const;
 
   // Drops all records and resets counters. Run ids keep increasing so keys
-  // stay monotone across a clear().
+  // stay distinct across a clear().
   void clear();
 
  private:
   struct Record {
-    std::uint64_t run = 0;
-    std::uint64_t task = 0;
-    std::uint32_t seq = 0;
+    std::tuple<std::uint64_t, std::uint64_t, std::uint32_t> key;
     std::string line;
-    using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint32_t>;
-    Key key() const { return {run, task, seq}; }
   };
-  // One appending thread's bounded ring. `mu` is uncontended in steady
-  // state (only export/clear/compaction cross-lock) but keeps export
-  // TSan-clean. `orphaned` is set when the appending thread exits.
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<Record> ring;
-    std::size_t next = 0;  // overwrite cursor once the ring is full
-    std::atomic<bool> orphaned{false};
-  };
-  Shard& local_shard();
-  // Moves every orphaned shard's records into retired_ and frees those
-  // shards. Caller holds shards_mu_.
-  void reclaim_orphans_locked();
-  // Trims the resident records to the top `capacity_` keys once they exceed
-  // kCompactFactor * capacity_.
-  void compact();
 
   const std::size_t capacity_;
-  const std::uint64_t id_;  // process-unique key for the thread-local cache
-  std::atomic<bool> enabled_{true};
-  std::atomic<std::uint64_t> next_run_{0};
-  std::atomic<std::uint64_t> appended_{0};
-  std::atomic<std::uint64_t> evicted_{0};
-  // Records in shard rings plus retired_, updated under the lock that
-  // guards the records counted (a shard's mu, or shards_mu_ for retired_).
-  std::atomic<std::size_t> resident_{0};
-  mutable std::mutex shards_mu_;  // guards the shard list and retired_
-  // Shared with the owning thread's cache, whose exit hook marks the shard
-  // orphaned through a weak reference (a no-op once the journal is gone).
-  std::vector<std::shared_ptr<Shard>> shards_;
-  // Records of exited threads, in no particular order; export sorts.
-  std::vector<Record> retired_;
+  mutable std::mutex mu_;  // guards everything below
+  std::uint64_t next_run_ = 0;
+  std::uint64_t appended_ = 0;
+  std::vector<Record> records_;
 };
 
 // The process-wide journal the serving layer appends to by default.
-// Enabled but only materialised into a file when something (the CLI's
-// --journal flag, a bench, a test) exports it.
+// Only materialised into a file when something (the CLI's --journal flag,
+// a bench, a test) exports it.
 Journal& default_journal();
 
 }  // namespace powerlens::obs

@@ -41,7 +41,7 @@ constexpr int kWaitTid = 2;    // async queue-wait spans (overlapping)
 constexpr std::size_t kDispatchDepth = 64;
 
 // Journal seq slots per request: 0 = the run header (task 0 only), 1 = the
-// fold's request record, 2 + attempt = each worker-side execution attempt.
+// request record, 2 + attempt = each execution attempt.
 // The adaptation layer's epoch records live at 32+ (serve/adapt.cpp).
 constexpr std::uint32_t kSeqRequest = 1;
 constexpr std::uint32_t kSeqFirstAttempt = 2;
@@ -87,6 +87,10 @@ Server::Server(const hw::Platform& platform,
       throw std::invalid_argument("Server: deployed model '" + m.name +
                                   "' has an empty graph");
     }
+  }
+  if (config_.num_workers > kMaxServeWorkers) {
+    throw std::invalid_argument("Server: num_workers exceeds " +
+                                std::to_string(kMaxServeWorkers));
   }
   config_.faults.validate();
   if (config_.degrade.backoff_base_s < 0.0 ||
@@ -140,9 +144,7 @@ Server::~Server() = default;
 
 obs::Journal* Server::active_journal() const {
   if (!config_.journal_enabled) return nullptr;
-  obs::Journal& journal =
-      config_.journal != nullptr ? *config_.journal : obs::default_journal();
-  return journal.enabled() ? &journal : nullptr;
+  return config_.journal != nullptr ? config_.journal : &obs::default_journal();
 }
 
 obs::Residuals* Server::active_residuals() const {
@@ -197,10 +199,6 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
   std::exception_ptr first_error;
 
   const bool inject = config_.faults.active();
-  // Each worker appends attempt records under strictly increasing
-  // (run, task, seq) keys — the dispatch loop hands out ascending task
-  // indices, so the journal's per-shard monotonicity contract holds.
-  obs::Journal* const journal = active_journal();
   const auto worker = [&] {
     // Each worker owns its simulator and CPU governor; runs are independent
     // (the governor resets per run), so results are keyed by task index and
@@ -281,24 +279,6 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
             rec.backoff_s = backoff;
           } else {
             out.images = r.images;
-          }
-          if (journal != nullptr) {
-            obs::JsonWriter w;
-            w.field("attempt", static_cast<double>(attempt));
-            w.field("time_s", rec.time_s);
-            w.field("energy_j", rec.energy_j);
-            w.field("mean_power_w", rec.mean_power_w);
-            w.field("peak_power_w", rec.peak_power_w);
-            w.field("dvfs_transitions",
-                    static_cast<double>(rec.dvfs_transitions));
-            w.field("faults", fault::fault_tag(rec.faults));
-            w.field("degraded", rec.degraded);
-            w.field("pinned", rec.pinned);
-            if (rec.backoff_s > 0.0) w.field("backoff_s", rec.backoff_s);
-            journal->append(run_id_, task.id,
-                            kSeqFirstAttempt + static_cast<std::uint32_t>(
-                                                   attempt),
-                            "attempt", w.body());
           }
           out.attempts.push_back(rec);
           if (!degraded) break;
@@ -420,9 +400,10 @@ class Server::Fold {
       trace_->name_thread(pid_, kWaitTid, "wait");
     }
 
-    // The fold runs single-threaded in task order, so journal records and
-    // residual scoring below are deterministic regardless of how the
-    // workers raced: same stream -> same bytes at any worker count.
+    // The fold is the serve's only journal writer and runs single-threaded
+    // in task order, so journal records and residual scoring below are
+    // deterministic regardless of how the workers raced: same stream ->
+    // same bytes at any worker count.
     journal_ = s_.active_journal();
     residuals_ = s_.active_residuals();
     plan_based_ = s_.config_.policy == ServePolicy::kPowerLens;
@@ -481,6 +462,31 @@ class Server::Fold {
     journal_->append(s_.run_id_, o.task_id, kSeqRequest, "request", w.body());
   }
 
+  // One record per simulated execution attempt. Workers simulate every
+  // task before admission is decided, so rejected and shed tasks log their
+  // attempts too.
+  void journal_attempts(std::size_t task_id,
+                        std::span<const AttemptRecord> attempts) {
+    if (journal_ == nullptr) return;
+    for (std::size_t a = 0; a < attempts.size(); ++a) {
+      const AttemptRecord& rec = attempts[a];
+      obs::JsonWriter w;
+      w.field("attempt", static_cast<double>(a));
+      w.field("time_s", rec.time_s);
+      w.field("energy_j", rec.energy_j);
+      w.field("mean_power_w", rec.mean_power_w);
+      w.field("peak_power_w", rec.peak_power_w);
+      w.field("dvfs_transitions", static_cast<double>(rec.dvfs_transitions));
+      w.field("faults", fault::fault_tag(rec.faults));
+      w.field("degraded", rec.degraded);
+      w.field("pinned", rec.pinned);
+      if (rec.backoff_s > 0.0) w.field("backoff_s", rec.backoff_s);
+      journal_->append(s_.run_id_, task_id,
+                       kSeqFirstAttempt + static_cast<std::uint32_t>(a),
+                       "attempt", w.body());
+    }
+  }
+
   Server& s_;
   ServeReport report_;
   obs::TraceWriter* trace_ = nullptr;
@@ -517,6 +523,7 @@ void Server::Fold::consume(std::span<const Task> tasks,
     out.model_index = task.model_index;
     out.arrival_s = task.arrival_s;
     out.deadline_s = task.deadline_s;
+    journal_attempts(task.id, services[i].attempts);
     if (plan_based_) {
       // Plan provenance. The workers resolved a plan for every task (the
       // fold's admission decisions come later), so "cold" means "first in
@@ -915,8 +922,8 @@ ServeReport Server::serve(std::span<const Task> tasks) {
   marks_.clear();
   reactive_faults_ = {};
   if (obs::Journal* const journal = active_journal()) {
-    // Claim this serve call's run id and stamp the run header before any
-    // worker appends — (run, 0, 0) sorts ahead of every record of the run.
+    // Claim this serve call's run id and stamp the run header; (run, 0, 0)
+    // sorts ahead of every record of the run.
     run_id_ = journal->begin_run();
     obs::JsonWriter w;
     w.field("policy", policy_name(config_.policy));

@@ -24,7 +24,9 @@
 // arrival order then builds the serving timeline: admission control
 // (bounded in-system task count on the *simulated* clock), start/finish
 // times on the single device, per-request latency and deadline accounting,
-// metrics, and per-request trace spans on a virtual track.
+// metrics, and per-request trace spans on a virtual track. The fold is also
+// the serve's only journal writer: it renders each task's attempt records
+// from the workers' results, so no worker thread touches the journal.
 //
 // Fault injection and graceful degradation: ServerConfig::faults turns on
 // the deterministic hardware fault model (src/fault). Plan policies derive
@@ -113,11 +115,16 @@ struct DegradePolicy {
   bool shed_doomed = false;
 };
 
+// Upper bound on ServerConfig::num_workers: a garbled worker count must
+// fail at construction, not start thousands of threads.
+inline constexpr std::size_t kMaxServeWorkers = 256;
+
 struct ServerConfig {
   ServePolicy policy = ServePolicy::kPowerLens;
   // Host worker threads simulating independent requests (plan policies
   // only; reactive streams are inherently sequential). Results are
-  // invariant to this value.
+  // invariant to this value. At most kMaxServeWorkers; the constructor
+  // throws std::invalid_argument beyond it.
   std::size_t num_workers = 1;
   // Admission control: maximum tasks in system (waiting + in service) on
   // the simulated clock; arrivals beyond it are rejected. 0 = unbounded.
@@ -140,9 +147,9 @@ struct ServerConfig {
   // Trace sink; null means obs::default_trace().
   obs::TraceWriter* trace = nullptr;
   // Structured per-request event journal; null means obs::default_journal().
-  // Always on by default — records are bounded, deterministic, and cheap
-  // (one uncontended lock + string per event); journal_enabled = false is
-  // the overhead-measurement escape hatch.
+  // Written only by the fold thread. Always on by default — records are
+  // bounded, deterministic, and cheap (one string and one uncontended lock
+  // per event); journal_enabled = false is the one switch that turns it off.
   obs::Journal* journal = nullptr;
   bool journal_enabled = true;
   // Predicted-vs-observed accounting sink; null means

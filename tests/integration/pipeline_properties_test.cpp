@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 namespace powerlens {
@@ -24,6 +25,16 @@ struct ClusterCase {
   double eps;
   std::size_t min_pts;
 };
+
+// gtest names each case "<name> # GetParam() = <printed param>". Its default
+// printer dumps the param's bytes, starting with the address of the model
+// name literal, which moves between builds. These printers keep the dump's
+// "<size>-byte object" lead and print the fields instead, so every build
+// lists the same test names.
+void PrintTo(const ClusterCase& c, std::ostream* os) {
+  *os << sizeof(ClusterCase) << "-byte object <model " << c.model << ", eps "
+      << c.eps << ", min_pts " << c.min_pts << '>';
+}
 
 class ClusteringPropertyTest : public ::testing::TestWithParam<ClusterCase> {};
 
@@ -70,6 +81,11 @@ struct ModelPlatformCase {
   const char* model;
   const char* platform;
 };
+
+void PrintTo(const ModelPlatformCase& c, std::ostream* os) {
+  *os << sizeof(ModelPlatformCase) << "-byte object <model " << c.model
+      << ", platform " << c.platform << '>';
+}
 
 class AnalyticPropertyTest
     : public ::testing::TestWithParam<ModelPlatformCase> {

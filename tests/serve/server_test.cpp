@@ -423,6 +423,19 @@ TEST_F(ServerTest, ValidatesTasksAndConstruction) {
   EXPECT_EQ(empty.makespan_s, 0.0);
 }
 
+TEST_F(ServerTest, WorkerCountIsBoundedAtConstruction) {
+  // Construction validates the count and starts no threads, so the bound
+  // is checked without ever spawning that many workers.
+  ServerConfig cfg;
+  cfg.policy = ServePolicy::kMaxn;
+  cfg.num_workers = kMaxServeWorkers;
+  EXPECT_NO_THROW(Server(*platform_, *models_, cfg));
+  cfg.num_workers = kMaxServeWorkers + 1;
+  EXPECT_THROW(Server(*platform_, *models_, cfg), std::invalid_argument);
+  cfg.num_workers = static_cast<std::size_t>(-1);  // a wrapped "-1"
+  EXPECT_THROW(Server(*platform_, *models_, cfg), std::invalid_argument);
+}
+
 TEST_F(ServerTest, StreamModelCountMustMatch) {
   ServerConfig cfg;
   cfg.policy = ServePolicy::kMaxn;
